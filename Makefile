@@ -3,13 +3,19 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke trace-smoke fabric-smoke iprefetch-smoke
+.PHONY: build test race lint fuzz-smoke bench-smoke trace-smoke fabric-smoke iprefetch-smoke perfbench-test
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# perfbench is a separate module that compiles against the exported
+# names of internal/hier, internal/experiments and internal/server; this
+# catches a refactor that breaks it before the benchmark runs.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # The race detector where goroutines actually meet (the concurrency
 # harnesses, plus the packages whose tests drive them); the remaining

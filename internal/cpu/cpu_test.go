@@ -171,8 +171,8 @@ func TestSoftwarePrefetchRouted(t *testing.T) {
 	if res.SoftPF != 1 {
 		t.Fatalf("soft prefetches = %d", res.SoftPF)
 	}
-	if h.Pf.Issued != 1 {
-		t.Fatalf("prefetch not issued: %+v", h.Pf)
+	if h.D.Pf.Issued != 1 {
+		t.Fatalf("prefetch not issued: %+v", h.D.Pf)
 	}
 }
 
@@ -219,8 +219,8 @@ func TestWarmupResetsStatistics(t *testing.T) {
 	}
 	// The second half re-touches the same 512 lines, which fit the L2 but
 	// not the 256-line L1 — stats must reflect only the measured half.
-	if h.L1.Stats.DemandAccesses > 2100 {
-		t.Fatalf("warmup accesses leaked into stats: %d", h.L1.Stats.DemandAccesses)
+	if h.D.L1.Stats.DemandAccesses > 2100 {
+		t.Fatalf("warmup accesses leaked into stats: %d", h.D.L1.Stats.DemandAccesses)
 	}
 	if res.Cycles == 0 {
 		t.Fatal("cycles should count the measured phase")

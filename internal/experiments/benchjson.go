@@ -43,8 +43,8 @@ type BenchEntry struct {
 	// WallNS is the simulation's wall time in nanoseconds (machine-
 	// dependent; the regression gate compares like-for-like machines).
 	WallNS int64 `json:"wall_ns"`
-	// MIPS is simulated instructions per wall-clock second / 1e6 — the
-	// simulator-throughput headline number.
+	// MIPS is simulated instructions, warmup included, per wall-clock
+	// second / 1e6 — the simulator-throughput headline number.
 	MIPS float64 `json:"mips"`
 
 	// Deterministic simulation outputs; identical across runs and
@@ -53,6 +53,16 @@ type BenchEntry struct {
 	Instructions uint64  `json:"instructions"`
 	Cycles       uint64  `json:"cycles"`
 	IPC          float64 `json:"ipc"`
+}
+
+// benchMIPS is one cell's simulator throughput. The wall time covers the
+// warmup window as well as the measured one, so both count.
+func benchMIPS(measured uint64, warmup int64, wall time.Duration) float64 {
+	secs := wall.Seconds()
+	if secs <= 0 {
+		return 0
+	}
+	return float64(measured+uint64(sim.EffectiveWarmup(warmup))) / secs / 1e6
 }
 
 // BenchReport is the bench-JSON document.
@@ -186,9 +196,7 @@ func (p *Params) BenchJSON(ctx context.Context, jobs int) (*BenchReport, error) 
 					Cycles:       r.Cycles,
 					IPC:          r.IPC(),
 				}
-				if secs := wall.Seconds(); secs > 0 {
-					e.MIPS = float64(r.Instructions) / secs / 1e6
-				}
+				e.MIPS = benchMIPS(r.Instructions, p.Warmup, wall)
 				return e, nil
 			},
 		})

@@ -18,13 +18,14 @@ func frontendConfig(kind config.IPrefetchKind) config.Config {
 	return cfg
 }
 
-// queueIPrefetch pushes one instruction-prefetch candidate straight
-// into the I-queue via the submit path (filter is Null, so it passes).
+// queueIPrefetch pushes one instruction-prefetch candidate into the
+// I-queue through the front end's candidate sink (filter is Null, so it
+// passes).
 func queueIPrefetch(t *testing.T, h *Hierarchy, block uint64) {
 	t.Helper()
-	before := h.IQueue.Len()
-	h.submitI(h.now, frontend.Candidate{Block: block, TriggerPC: 0x40_0000, Source: "nextline"})
-	if h.IQueue.Len() != before+1 {
+	before := h.I.Queue.Len()
+	h.fetchEmitFn(frontend.Candidate{Block: block, TriggerPC: 0x40_0000, Source: "nextline"})
+	if h.I.Queue.Len() != before+1 {
 		t.Fatalf("candidate %#x did not enqueue", block)
 	}
 }
@@ -44,7 +45,7 @@ func TestIPrefetchYieldsToDemand(t *testing.T) {
 	if used := h.IssueIPrefetches(100, 4); used != 0 {
 		t.Fatalf("I-prefetch issued against a demand-busy L2 port (used=%d)", used)
 	}
-	if h.IQueue.Len() != 1 {
+	if h.I.Queue.Len() != 1 {
 		t.Fatal("yielding must keep the candidate queued, not drop it")
 	}
 
@@ -53,8 +54,8 @@ func TestIPrefetchYieldsToDemand(t *testing.T) {
 	if used := h.IssueIPrefetches(idle, 4); used != 1 {
 		t.Fatalf("idle-port issue used=%d, want 1", used)
 	}
-	if h.IPf.Issued != 1 {
-		t.Fatalf("IPf.Issued = %d", h.IPf.Issued)
+	if h.I.Pf.Issued != 1 {
+		t.Fatalf("I.Pf.Issued = %d", h.I.Pf.Issued)
 	}
 }
 
@@ -69,8 +70,8 @@ func TestFetchMissClaimsPortBeforeIPrefetch(t *testing.T) {
 	if done <= 100 {
 		t.Fatalf("cold fetch miss completed instantly (done=%d)", done)
 	}
-	if h.FetchMisses != 1 || h.L1I.Stats.DemandMisses != 1 {
-		t.Fatalf("fetch miss accounting: misses=%d l1i=%+v", h.FetchMisses, h.L1I.Stats)
+	if h.FetchMisses != 1 || h.I.L1.Stats.DemandMisses != 1 {
+		t.Fatalf("fetch miss accounting: misses=%d l1i=%+v", h.FetchMisses, h.I.L1.Stats)
 	}
 	if used := h.IssueIPrefetches(100, 4); used != 0 {
 		t.Fatal("I-prefetch issued against a fetch-miss-busy L2 port")
@@ -89,8 +90,8 @@ func TestIPrefetchNoBackToBackSlots(t *testing.T) {
 	if used := h.IssueIPrefetches(100, 4); used != 1 {
 		t.Fatalf("issued %d I-prefetches in one cycle, want exactly 1", used)
 	}
-	if h.IQueue.Len() != 1 {
-		t.Fatalf("second candidate must stay queued, len=%d", h.IQueue.Len())
+	if h.I.Queue.Len() != 1 {
+		t.Fatalf("second candidate must stay queued, len=%d", h.I.Queue.Len())
 	}
 	// A demand miss arriving right after waits at most one L2 occupancy
 	// slot behind the single issued prefetch — never a convoy.
@@ -111,27 +112,27 @@ func TestFetchMSHRMergeWithIPrefetch(t *testing.T) {
 	if used := h.IssueIPrefetches(0, 1); used != 1 {
 		t.Fatal("setup: prefetch did not issue")
 	}
-	fillDone := h.inflightISet[0x8000].done
+	fillDone := h.I.inflightSet[0x8000].done
 
 	done := h.FetchAccess(5, 0x8004) // same block, mid-flight
 	if done != fillDone {
 		t.Fatalf("merged fetch done=%d, want the in-flight fill's %d", done, fillDone)
 	}
-	if h.MergedI != 1 {
-		t.Fatalf("MergedI = %d", h.MergedI)
+	if h.I.Merged != 1 {
+		t.Fatalf("I.Merged = %d", h.I.Merged)
 	}
-	line, ok := h.L1I.Peek(0x8000)
+	line, ok := h.I.L1.Peek(0x8000)
 	if !ok || !line.PIB || !line.RIB || line.TriggerPC != 0x40_0000 {
 		t.Fatalf("merged line metadata: %+v (ok=%v)", line, ok)
 	}
 	// Draining the heap consumes the merge marker: no late-prefetch
 	// misclassification, and the in-flight set is empty.
 	h.Tick(^uint64(0) - 1)
-	if h.IPf.Bad != 0 || h.LatePrefetches != 0 {
-		t.Fatalf("merged fill misclassified: %+v late=%d", h.IPf, h.LatePrefetches)
+	if h.I.Pf.Bad != 0 || h.LatePrefetches != 0 {
+		t.Fatalf("merged fill misclassified: %+v late=%d", h.I.Pf, h.LatePrefetches)
 	}
-	if len(h.inflightISet) != 0 || len(h.mergedI) != 0 {
-		t.Fatalf("I-side inflight state leaked: set=%d merged=%d", len(h.inflightISet), len(h.mergedI))
+	if len(h.I.inflightSet) != 0 || len(h.I.merged) != 0 {
+		t.Fatalf("I-side inflight state leaked: set=%d merged=%d", len(h.I.inflightSet), len(h.I.merged))
 	}
 }
 
@@ -158,15 +159,15 @@ func TestIConservationGoodPlusBadEqualsIssued(t *testing.T) {
 		h.IssueIPrefetches(cycle, 1)
 	}
 	h.Finish()
-	if got := h.IPf.Good + h.IPf.Bad; got != h.IPf.Issued {
-		t.Fatalf("classified %d != issued %d (good=%d bad=%d late=%d mergedI=%d)",
-			got, h.IPf.Issued, h.IPf.Good, h.IPf.Bad, h.LatePrefetches, h.MergedI)
+	if got := h.I.Pf.Good + h.I.Pf.Bad; got != h.I.Pf.Issued {
+		t.Fatalf("classified %d != issued %d (good=%d bad=%d late=%d merged=%d)",
+			got, h.I.Pf.Issued, h.I.Pf.Good, h.I.Pf.Bad, h.LatePrefetches, h.I.Merged)
 	}
-	if h.IPf.Issued == 0 || h.FetchMisses == 0 {
-		t.Fatalf("stream too tame to test anything: %+v misses=%d", h.IPf, h.FetchMisses)
+	if h.I.Pf.Issued == 0 || h.FetchMisses == 0 {
+		t.Fatalf("stream too tame to test anything: %+v misses=%d", h.I.Pf, h.FetchMisses)
 	}
 	// D-side accounting must be untouched by I-side traffic.
-	if h.Pf.Issued != 0 || h.L1.Stats.DemandAccesses != 0 {
-		t.Fatalf("I-side run leaked into D-side stats: %+v l1=%+v", h.Pf, h.L1.Stats)
+	if h.D.Pf.Issued != 0 || h.D.L1.Stats.DemandAccesses != 0 {
+		t.Fatalf("I-side run leaked into D-side stats: %+v l1=%+v", h.D.Pf, h.D.L1.Stats)
 	}
 }

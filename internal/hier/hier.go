@@ -1,12 +1,15 @@
 // Package hier composes the memory hierarchy of the simulated machine:
 // L1 data cache → unified L2 → bus → main memory, plus the prefetch
 // machinery (hardware prefetchers, pollution filter, prefetch queue, and
-// the optional dedicated prefetch buffer of §5.5).
+// the optional dedicated prefetch buffer of §5.5). With the front end
+// enabled an L1 instruction cache sits beside the L1D on the same L2.
 //
 // The hierarchy owns the good/bad prefetch classification of §3: every
 // prefetched line carries PIB/RIB metadata; a demand reference sets RIB;
 // eviction (or end-of-run residency) classifies the prefetch and trains
-// the pollution filter.
+// the pollution filter. That loop is written once, on side, and runs
+// for each L1: the data side always, the instruction side when the
+// front end is modelled.
 //
 // Timing model. The hierarchy is driven by the CPU's cycle clock. Demand
 // accesses compute their completion cycle through the levels (L1 hit
@@ -40,14 +43,14 @@ import (
 	"repro/internal/xrand"
 )
 
-// inflight is a prefetch fill in transit from L2/memory toward the L1
-// (or, when iside is set, toward the L1I).
+// inflight is a prefetch fill in transit from L2/memory toward one
+// side's L1.
 type inflight struct {
 	done      uint64 // cycle the fill arrives at the L1
 	lineAddr  uint64
 	triggerPC uint64
+	side      *side // the side whose L1 the fill lands in
 	software  bool
-	iside     bool // instruction-prefetch fill headed for the L1I
 	source    string
 }
 
@@ -111,107 +114,111 @@ func (h *inflightHeap) pop() inflight {
 type Hierarchy struct {
 	cfg config.Config
 
-	L1     *cache.Cache
-	L2     *cache.Cache
-	Buffer *pbuffer.Buffer // nil unless cfg.Buffer.Enable
-	// Victim is the optional victim cache behind the L1 (nil unless
-	// cfg.VictimEntries > 0).
-	Victim *victim.Cache
-	Bus    *bus.Bus
-	Mem    *memdram.Memory
+	// D is the data side (the L1D); I is the instruction side (the L1I),
+	// nil unless cfg.Frontend is set. Both sides share the single-ported
+	// L2, the pollution filter and one in-flight heap.
+	D, I *side
+
+	L2  *cache.Cache
+	Bus *bus.Bus
+	Mem *memdram.Memory
 
 	Filter core.Filter
 	HW     prefetch.Prefetcher // composite hardware prefetchers (may be empty)
-	Queue  *prefetch.Queue
-
-	// I-side front end (all nil unless cfg.Frontend is set). The L1I
-	// sits beside the L1D and shares the single-ported L2; IHW is the
-	// instruction-prefetch backend from the internal/frontend registry,
-	// and IQueue holds its accepted candidates.
-	L1I    *cache.Cache
-	IHW    frontend.Prefetcher
-	IQueue *prefetch.Queue
-	fetch  frontend.FetchUnit
+	// IHW is the instruction-prefetch backend from the internal/frontend
+	// registry (nil when the front end is off or prefetches nothing);
+	// fetch collapses the PC stream into the fetch-block stream.
+	IHW   frontend.Prefetcher
+	fetch frontend.FetchUnit
 
 	// l2busyUntil serializes the single-ported L2 (pipelined occupancy).
 	l2busyUntil uint64
 
-	inflight    inflightHeap
-	inflightSet map[uint64]inflight
-	// merged counts, per line, prefetch fills that a demand miss already
-	// claimed (MSHR merge); Tick consumes one count per matching heap
-	// entry. A count (not a set): the same line can merge repeatedly if it
-	// is evicted and re-prefetched while older fills are still queued.
-	merged map[uint64]int
+	// inflight holds both sides' fills in one heap. Fills that complete on
+	// the same cycle train the shared filter in push order across both
+	// sides; a heap per side would reorder that training.
+	inflight inflightHeap
 
-	// inflightISet/mergedI are the I-side twins of inflightSet/merged;
-	// instruction and data streams track their outstanding fills in
-	// separate sets so an I-block never collides with a D-line at the
-	// same address. The fills themselves share the one inflight heap,
-	// tagged by inflight.iside.
-	inflightISet map[uint64]inflight
-	mergedI      map[uint64]int
-
-	// Classification and traffic counters (read via Snapshot).
-	Pf      stats.Prefetches
-	Traffic stats.Traffic
-	// BySource counts issued prefetches per generator.
+	// Traffic counts L2, memory and bus work; BySource counts issued
+	// prefetches per generator.
+	Traffic  stats.Traffic
 	BySource map[string]uint64
 
 	// LatePrefetches counts fills that arrived after a demand access had
 	// already brought the line in (classified bad).
 	LatePrefetches uint64
-	// Merged counts demand misses that merged with an in-flight prefetch
-	// (MSHR behaviour); the prefetch classifies good.
-	Merged uint64
 
-	// I-side counters: IPf classifies instruction prefetches at L1I
-	// eviction time exactly as Pf does for the D-side; FetchBlocks and
-	// FetchMisses count the fetch-block stream presented to the L1I;
-	// MergedI counts fetch misses that merged with an in-flight
-	// instruction prefetch.
-	IPf         stats.Prefetches
+	// FetchBlocks and FetchMisses count the fetch-block stream presented
+	// to the L1I.
 	FetchBlocks uint64
 	FetchMisses uint64
-	MergedI     uint64
-
-	// Tax, when non-nil, records the full Srinivasan prefetch taxonomy
-	// (reference [17]) alongside the paper's 2-way classification. Pure
-	// instrumentation: it never affects timing or filtering.
-	Tax *taxonomy.Tracker
-
-	// Dead, when non-nil, enables the Lai et al. dead-block baseline: the
-	// predictor observes the L1 access/eviction stream and gates each
-	// prefetch on the predicted liveness of the line it would displace.
-	Dead *deadblock.Predictor
-	// DeadGated counts prefetches the dead-block gate dropped.
-	DeadGated uint64
 
 	// Trace, when non-nil, receives a cycle-stamped event for every
 	// prefetch lifecycle transition, demand miss, and (via Bus.Trace) bus
 	// grant. Attached by AttachObservability; nil by default so the
 	// un-instrumented hot path pays one predictable branch per site.
 	Trace *trace.Tracer
-	// m holds live metric handles; all nil (no-op) unless attached.
-	m hierMetrics
 	// now is the cycle stamp for events raised from shared helpers
 	// (eviction classification inside fills); maintained by the
 	// entry points that carry a cycle argument.
 	now uint64
-	// emitFn is the single reusable candidate sink handed to the
-	// prefetchers; it reads the cycle from h.now. Allocating a fresh
+	// emitFn and fetchEmitFn are the reusable candidate sinks handed to
+	// HW and IHW; they read the cycle from h.now. Allocating a fresh
 	// closure per demand access was ~30% of all simulation allocations.
-	emitFn func(prefetch.Candidate)
-	// iEmitFn is its I-side twin, handed to the instruction prefetcher.
-	iEmitFn func(frontend.Candidate)
+	emitFn      func(prefetch.Candidate)
+	fetchEmitFn func(frontend.Candidate)
 }
 
-// hierMetrics are the hierarchy's live counters. Each handle is nil
+// side is one L1 with the prefetch path in front of it. Each side runs
+// the paper's loop: a prefetch fills with PIB set, a demand reference
+// sets RIB, and eviction classifies the line and trains the shared
+// filter. A part one side lacks is a nil field.
+type side struct {
+	h *Hierarchy
+
+	L1    *cache.Cache
+	Queue *prefetch.Queue
+	// Pf classifies this side's prefetches.
+	Pf stats.Prefetches
+	// Merged counts demand misses that merged with an in-flight prefetch
+	// (MSHR behaviour); the prefetch classifies good.
+	Merged uint64
+	lat    uint64 // L1 hit latency in cycles
+
+	// inflightSet indexes this side's fills on the shared heap by line;
+	// each side keeps its own so an I-block never collides with a D-line
+	// at the same address. merged counts, per line, fills that a demand
+	// miss already claimed; complete consumes one count per matching heap
+	// entry. A count (not a set): the same line can merge repeatedly if it
+	// is evicted and re-prefetched while older fills are still queued.
+	inflightSet map[uint64]inflight
+	merged      map[uint64]int
+
+	// Buffer is the dedicated prefetch buffer (nil unless
+	// cfg.Buffer.Enable); Victim is the victim cache behind the L1 (nil
+	// unless cfg.VictimEntries > 0).
+	Buffer *pbuffer.Buffer
+	Victim *victim.Cache
+	// Dead, when non-nil, enables the Lai et al. dead-block baseline: the
+	// predictor observes the L1 access/eviction stream and gates each
+	// prefetch on the predicted liveness of the line it would displace.
+	// DeadGated counts prefetches the gate dropped.
+	Dead      *deadblock.Predictor
+	DeadGated uint64
+	// Tax, when non-nil, records the full Srinivasan prefetch taxonomy
+	// (reference [17]) alongside the paper's 2-way classification. Pure
+	// instrumentation: it never affects timing or filtering.
+	Tax *taxonomy.Tracker
+	// m holds live metric handles; all nil (no-op) unless attached.
+	m hierMetrics
+}
+
+// hierMetrics are the data side's live counters. Each handle is nil
 // until AttachObservability registers it, and every update is nil-safe,
 // so the disabled path costs one branch per site. The counters track the
-// stats.Prefetches fields exactly: after Finish, "sim.pf.good" equals
-// Run.Prefetches.Good, and so on — that equality is the contract the
-// observability tests pin.
+// D-side stats.Prefetches fields exactly: after Finish, "sim.pf.good"
+// equals Run.Prefetches.Good, and so on — that equality is the contract
+// the observability tests pin. The I-side never attaches its handles.
 type hierMetrics struct {
 	pfIssued, pfGood, pfBad, pfFiltered, pfSquashed, pfOverflow *metrics.Counter
 	pfFills, pfRefs, pfLate, pfMerged                           *metrics.Counter
@@ -236,10 +243,10 @@ func (h *Hierarchy) AttachObservability(tr *trace.Tracer, reg *metrics.Registry)
 	h.Trace = tr
 	h.Bus.Trace = tr
 	if reg == nil {
-		h.m = hierMetrics{}
+		h.D.m = hierMetrics{}
 		return
 	}
-	h.m = hierMetrics{
+	h.D.m = hierMetrics{
 		pfIssued:       reg.Counter("sim.pf.issued"),
 		pfGood:         reg.Counter("sim.pf.good"),
 		pfBad:          reg.Counter("sim.pf.bad"),
@@ -272,61 +279,38 @@ func New(cfg config.Config, filter core.Filter, rng *xrand.Rand) (*Hierarchy, er
 	if rng == nil {
 		rng = xrand.New(cfg.Seed)
 	}
-	l1, err := cache.New(cfg.L1, rng.Fork())
+	h := &Hierarchy{cfg: cfg, Filter: filter, BySource: make(map[string]uint64)}
+	d, err := h.newSide("l1", cfg.L1, cfg.Prefetch.QueueEntries, rng)
 	if err != nil {
-		return nil, fmt.Errorf("hier: l1: %w", err)
+		return nil, err
 	}
-	l2, err := cache.New(cfg.L2, rng.Fork())
-	if err != nil {
+	h.D = d
+	if h.L2, err = cache.New(cfg.L2, rng.Fork()); err != nil {
 		return nil, fmt.Errorf("hier: l2: %w", err)
 	}
-	b, err := bus.New(cfg.BusBytesPerCyc)
-	if err != nil {
+	if h.Bus, err = bus.New(cfg.BusBytesPerCyc); err != nil {
 		return nil, err
 	}
-	mem, err := memdram.New(cfg.MemoryLatency, 4)
-	if err != nil {
+	if h.Mem, err = memdram.New(cfg.MemoryLatency, 4); err != nil {
 		return nil, err
-	}
-	q, err := prefetch.NewQueue(cfg.Prefetch.QueueEntries)
-	if err != nil {
-		return nil, err
-	}
-	h := &Hierarchy{
-		cfg:         cfg,
-		L1:          l1,
-		L2:          l2,
-		Bus:         b,
-		Mem:         mem,
-		Filter:      filter,
-		Queue:       q,
-		inflightSet: make(map[uint64]inflight),
-		merged:      make(map[uint64]int),
-		BySource:    make(map[string]uint64),
 	}
 	if cfg.Buffer.Enable {
-		pb, err := pbuffer.New(cfg.Buffer.Entries)
-		if err != nil {
+		if d.Buffer, err = pbuffer.New(cfg.Buffer.Entries); err != nil {
 			return nil, err
 		}
-		h.Buffer = pb
 	}
 	if cfg.VictimEntries > 0 {
-		vc, err := victim.New(cfg.VictimEntries)
-		if err != nil {
+		if d.Victim, err = victim.New(cfg.VictimEntries); err != nil {
 			return nil, err
 		}
-		h.Victim = vc
 	}
 	if cfg.Filter.Kind == config.FilterDeadBlock {
-		db, err := deadblock.New(cfg.Filter.TableEntries)
-		if err != nil {
+		if d.Dead, err = deadblock.New(cfg.Filter.TableEntries); err != nil {
 			return nil, err
 		}
-		h.Dead = db
 	}
 	var parts []prefetch.Prefetcher
-	env := prefetch.Env{L2: l2}
+	env := prefetch.Env{L2: h.L2}
 	for _, kind := range cfg.Prefetch.Enabled() {
 		p, err := prefetch.New(kind, cfg.Prefetch, env)
 		if err != nil {
@@ -335,69 +319,55 @@ func New(cfg config.Config, filter core.Filter, rng *xrand.Rand) (*Hierarchy, er
 		parts = append(parts, p)
 	}
 	h.HW = prefetch.NewComposite(parts...)
-	h.emitFn = func(c prefetch.Candidate) { h.submit(h.now, c) }
-	if cfg.Frontend != nil {
-		l1i, err := cache.New(cfg.Frontend.L1I, rng.Fork())
-		if err != nil {
-			return nil, fmt.Errorf("hier: l1i: %w", err)
-		}
-		h.L1I = l1i
-		iq, err := prefetch.NewQueue(cfg.Frontend.QueueEntries)
+	h.emitFn = func(c prefetch.Candidate) { d.submit(h.now, c) }
+	if fe := cfg.Frontend; fe != nil {
+		i, err := h.newSide("l1i", fe.L1I, fe.QueueEntries, rng)
 		if err != nil {
 			return nil, err
 		}
-		h.IQueue = iq
-		if kind := cfg.Frontend.IPrefetch.Canonical(); kind != config.IPrefetchNone {
-			ip, err := frontend.New(kind, *cfg.Frontend)
-			if err != nil {
+		h.I = i
+		if kind := fe.IPrefetch.Canonical(); kind != config.IPrefetchNone {
+			if h.IHW, err = frontend.New(kind, *fe); err != nil {
 				return nil, err
 			}
-			h.IHW = ip
 		}
-		h.fetch = frontend.NewFetchUnit(cfg.Frontend.L1I.LineBytes)
-		h.inflightISet = make(map[uint64]inflight)
-		h.mergedI = make(map[uint64]int)
-		h.iEmitFn = func(c frontend.Candidate) { h.submitI(h.now, c) }
+		h.fetch = frontend.NewFetchUnit(fe.L1I.LineBytes)
+		h.fetchEmitFn = func(c frontend.Candidate) {
+			i.submit(h.now, prefetch.Candidate{LineAddr: c.Block, TriggerPC: c.TriggerPC, Source: c.Source})
+		}
 	}
 	return h, nil
+}
+
+// newSide builds one side: its L1 (from the next rng fork), its prefetch
+// queue and its in-flight bookkeeping. Optional parts are left nil.
+func (h *Hierarchy) newSide(name string, c config.CacheConfig, queueEntries int, rng *xrand.Rand) (*side, error) {
+	l1, err := cache.New(c, rng.Fork())
+	if err != nil {
+		return nil, fmt.Errorf("hier: %s: %w", name, err)
+	}
+	q, err := prefetch.NewQueue(queueEntries)
+	if err != nil {
+		return nil, err
+	}
+	return &side{
+		h:           h,
+		L1:          l1,
+		Queue:       q,
+		lat:         uint64(c.LatencyCycles),
+		inflightSet: make(map[uint64]inflight),
+		merged:      make(map[uint64]int),
+	}, nil
 }
 
 // Config returns the machine configuration.
 func (h *Hierarchy) Config() config.Config { return h.cfg }
 
-// LineAddr converts a byte address to a line address.
-func (h *Hierarchy) LineAddr(addr uint64) uint64 { return h.L1.LineAddr(addr) }
+// LineAddr converts a byte address to an L1D line address.
+func (h *Hierarchy) LineAddr(addr uint64) uint64 { return h.D.L1.LineAddr(addr) }
 
-// classifyEvicted handles a line leaving the L1: if it was a prefetch,
-// classify it and train the filter.
-func (h *Hierarchy) classifyEvicted(line cache.Line) {
-	if h.Dead != nil {
-		h.Dead.OnEvict(line)
-	}
-	if !line.PIB {
-		return
-	}
-	if line.RIB {
-		h.Pf.Good++
-		h.m.pfGood.Inc()
-	} else {
-		h.Pf.Bad++
-		h.m.pfBad.Inc()
-	}
-	if h.Trace != nil {
-		h.Trace.Emit(trace.Event{Cycle: h.now, Kind: trace.KindPrefetchEvict,
-			LineAddr: line.Tag, PC: line.TriggerPC, Good: line.RIB})
-	}
-	h.Filter.Train(core.Feedback{
-		LineAddr:   line.Tag,
-		TriggerPC:  line.TriggerPC,
-		Referenced: line.RIB,
-		Source:     core.Source(line.PFSource),
-	})
-	if h.Tax != nil {
-		h.Tax.OnEvict(line.Tag)
-	}
-}
+// FrontendEnabled reports whether the I-side front end is modelled.
+func (h *Hierarchy) FrontendEnabled() bool { return h.I != nil }
 
 // l2Access models one access reaching the L2 at cycle `at`, returning the
 // cycle data is available to fill the L1. prefetch tags traffic.
@@ -416,8 +386,7 @@ func (h *Hierarchy) l2Access(at uint64, lineAddr uint64, prefetchReq bool) (read
 		h.L2.Stats.DemandAccesses++
 	}
 
-	if line, hit := h.L2.Lookup(lineAddr); hit {
-		_ = line
+	if _, hit := h.L2.Lookup(lineAddr); hit {
 		if !prefetchReq {
 			h.L2.Stats.DemandHits++
 		}
@@ -435,42 +404,16 @@ func (h *Hierarchy) l2Access(at uint64, lineAddr uint64, prefetchReq bool) (read
 	arrive := h.Bus.Request(memReady, h.cfg.L2.LineBytes, prefetchReq)
 
 	// Fill the L2. An L2 eviction may write back a dirty line over the bus.
-	installed, evicted, hadEvict := h.L2.Insert(lineAddr)
+	_, evicted, hadEvict := h.L2.Insert(lineAddr)
 	if prefetchReq {
 		h.L2.Stats.PrefetchFills++
 	} else {
 		h.L2.Stats.DemandFills++
 	}
-	_ = installed
 	if hadEvict && evicted.Dirty {
 		h.Bus.Request(arrive, h.cfg.L2.LineBytes, false)
 	}
 	return arrive, false
-}
-
-// fillL1 installs a line into the L1 and processes the eviction feedback.
-// The returned pointer addresses the installed line for metadata setup;
-// the evicted line (when any) is returned for the taxonomy hooks.
-func (h *Hierarchy) fillL1(lineAddr uint64, prefetchReq bool) (*cache.Line, cache.Line, bool) {
-	installed, evicted, hadEvict := h.L1.Insert(lineAddr)
-	if hadEvict {
-		h.classifyEvicted(evicted)
-		if h.Victim != nil {
-			// The victim cache captures the eviction; its own victim (if
-			// dirty) is what finally writes back.
-			if ve, vEvict := h.Victim.Insert(evicted.Tag, evicted.Dirty); vEvict && ve.Dirty {
-				h.writebackL2(ve.LineAddr)
-			}
-		} else if evicted.Dirty {
-			h.writebackL2(evicted.Tag)
-		}
-	}
-	if prefetchReq {
-		h.L1.Stats.PrefetchFills++
-	} else {
-		h.L1.Stats.DemandFills++
-	}
-	return installed, evicted, hadEvict
 }
 
 // writebackL2 pushes a dirty line into the L2 off the critical path:
@@ -489,30 +432,81 @@ func (h *Hierarchy) writebackL2(lineAddr uint64) {
 // returns the cycle its data is available. The caller has already charged
 // an L1 port for this access.
 func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (done uint64) {
-	lineAddr := h.L1.LineAddr(addr)
+	lineAddr := h.D.L1.LineAddr(addr)
 	h.now = now
 	h.Traffic.DemandAccesses++
-	h.L1.Stats.DemandAccesses++
-	h.m.demandAccesses.Inc()
-	if h.Tax != nil {
-		h.Tax.OnDemandRef(lineAddr)
+	done, at := h.D.demand(now, lineAddr, pc, isStore)
+	h.HW.Observe(prefetch.Event{
+		Cycle: now, PC: pc, LineAddr: lineAddr, IsStore: isStore,
+		L1Hit:       at <= servedNear, // the lower levels never see this access
+		L1HitTagged: at == servedTagged,
+		L2Hit:       at == servedL2,
+	}, h.emitFn)
+	return done
+}
+
+// FetchAccess runs one instruction fetch through the front end at cycle
+// now and returns the cycle the block is available. Same-block fetches
+// are absorbed by the fetch unit and complete immediately; only block
+// transitions touch the L1I. On a miss the front end stalls: the caller
+// must not dispatch past the returned cycle. The fetch miss walks the
+// shared L2 as a demand access — it is on the front end's critical path.
+func (h *Hierarchy) FetchAccess(now uint64, pc uint64) (done uint64) {
+	block, newBlock, redirect := h.fetch.Step(pc)
+	if !newBlock {
+		return now
 	}
+	h.now = now
+	h.FetchBlocks++
+	done, at := h.I.demand(now, block, pc, false)
+	miss := at > servedTagged
+	if miss {
+		h.FetchMisses++
+	} else {
+		done = now // an L1I hit is pipelined into fetch and stalls nothing
+	}
+	if h.IHW != nil {
+		h.IHW.Observe(frontend.Event{Block: block, PC: pc, Redirect: redirect, Miss: miss}, h.fetchEmitFn)
+	}
+	return done
+}
 
-	ev := prefetch.Event{PC: pc, LineAddr: lineAddr, IsStore: isStore}
+// served says where a demand reference found its data.
+type served uint8
 
-	if line, hit := h.L1.Lookup(lineAddr); hit {
-		h.L1.Stats.DemandHits++
-		if h.Dead != nil {
-			h.Dead.OnAccess(line, pc)
+const (
+	servedL1     served = iota // L1 hit
+	servedTagged               // L1 hit, the first reference to a prefetched line
+	servedNear                 // L1 miss served without the L2: MSHR merge, buffer or victim cache
+	servedL2                   // L2 hit
+	servedMem                  // L2 miss
+)
+
+// demand runs one demand reference through the side at cycle now: the
+// L1 probe, then on a miss an MSHR merge with an in-flight prefetch, a
+// prefetch-buffer promotion, a victim-cache swap, or the walk to the
+// shared L2. It returns the cycle the data is available and where the
+// reference was served.
+func (s *side) demand(now, lineAddr, pc uint64, isStore bool) (done uint64, at served) {
+	h := s.h
+	s.L1.Stats.DemandAccesses++
+	s.m.demandAccesses.Inc()
+	if s.Tax != nil {
+		s.Tax.OnDemandRef(lineAddr)
+	}
+	if line, hit := s.L1.Lookup(lineAddr); hit {
+		s.L1.Stats.DemandHits++
+		if s.Dead != nil {
+			s.Dead.OnAccess(line, pc)
 		}
-		ev.L1Hit = true
+		at = servedL1
 		// The NSP tag is "consumed" by the first demand reference: a hit
 		// on a not-yet-referenced prefetched line triggers the next-line
 		// prefetch; later hits do not re-trigger.
-		ev.L1HitTagged = line.PIB && !line.RIB
 		if line.PIB && !line.RIB {
 			line.RIB = true
-			h.m.pfRefs.Inc()
+			at = servedTagged
+			s.m.pfRefs.Inc()
 			if h.Trace != nil {
 				h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchRef,
 					LineAddr: lineAddr, PC: pc})
@@ -521,12 +515,10 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 		if isStore {
 			line.Dirty = true
 		}
-		done = now + uint64(h.cfg.L1.LatencyCycles)
-		h.observe(now, ev)
-		return done
+		return now + s.lat, at
 	}
-	h.L1.Stats.DemandMisses++
-	h.m.demandMisses.Inc()
+	s.L1.Stats.DemandMisses++
+	s.m.demandMisses.Inc()
 	if h.Trace != nil {
 		h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindDemandMiss,
 			LineAddr: lineAddr, PC: pc})
@@ -537,45 +529,35 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 	// request. The prefetch covered (part of) the miss latency, so the
 	// line is installed as a referenced prefetch — it will classify good
 	// at eviction and train the filter positively.
-	if f, busy := h.inflightSet[lineAddr]; busy {
-		delete(h.inflightSet, lineAddr)
-		h.merged[lineAddr]++ // Tick will skip one matching heap entry
-		h.Merged++
-		h.m.pfMerged.Inc()
+	if f, busy := s.inflightSet[lineAddr]; busy {
+		delete(s.inflightSet, lineAddr)
+		s.merged[lineAddr]++ // complete will skip one matching heap entry
+		s.Merged++
+		s.m.pfMerged.Inc()
 		if h.Trace != nil {
 			h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchMerge,
 				LineAddr: lineAddr, PC: f.triggerPC, Source: f.source})
 		}
-		line, evicted, hadEvict := h.fillL1(lineAddr, true)
-		if h.Tax != nil {
-			h.Tax.OnPrefetchFill(lineAddr, evicted.Tag, hadEvict)
-			h.Tax.OnDemandRef(lineAddr) // the merging demand is the reference
+		line, evictedTag, hadEvict := s.fill(lineAddr, true)
+		if s.Tax != nil {
+			s.Tax.OnPrefetchFill(lineAddr, evictedTag, hadEvict)
+			s.Tax.OnDemandRef(lineAddr) // the merging demand is the reference
 		}
-		line.PIB = true
-		line.RIB = true
-		line.TriggerPC = f.triggerPC
-		line.SoftPF = f.software
-		line.PFSource = uint8(core.SourceByName(f.source))
+		f.tag(line, true)
 		if isStore {
 			line.Dirty = true
 		}
-		done = f.done
-		if min := now + uint64(h.cfg.L1.LatencyCycles); done < min {
-			done = min
-		}
-		ev.L1Hit = true // the lower levels never see this access
-		h.observe(now, ev)
-		return done
+		return max(f.done, now+s.lat), servedNear
 	}
 
 	// Probe the dedicated prefetch buffer in parallel with the L1.
-	if h.Buffer != nil {
-		if entry, hit := h.Buffer.Probe(lineAddr); hit {
+	if s.Buffer != nil {
+		if entry, hit := s.Buffer.Probe(lineAddr); hit {
 			// Promotion: the prefetch was good. Classify and train now;
 			// the line enters the L1 as an ordinary (PIB=0) line.
-			h.Pf.Good++
-			h.m.pfGood.Inc()
-			h.m.pfRefs.Inc()
+			s.Pf.Good++
+			s.m.pfGood.Inc()
+			s.m.pfRefs.Inc()
 			if h.Trace != nil {
 				h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchRef,
 					LineAddr: lineAddr, PC: pc})
@@ -586,179 +568,193 @@ func (h *Hierarchy) DemandAccess(now uint64, pc, addr uint64, isStore bool) (don
 				Referenced: true,
 				Source:     core.Source(entry.Source),
 			})
-			installed, _, _ := h.fillL1(lineAddr, false)
+			installed, _, _ := s.fill(lineAddr, false)
 			if isStore {
 				installed.Dirty = true
 			}
-			ev.L1Hit = true // from the prefetchers' perspective: no L2 access
-			h.observe(now, ev)
-			return now + uint64(h.cfg.L1.LatencyCycles)
+			return now + s.lat, servedNear
 		}
 	}
 
 	// Probe the victim cache: a hit swaps the line back into the L1 in
 	// one extra cycle, never touching the L2.
-	if h.Victim != nil {
-		if vEntry, hit := h.Victim.Probe(lineAddr); hit {
-			installed, _, _ := h.fillL1(lineAddr, false)
+	if s.Victim != nil {
+		if vEntry, hit := s.Victim.Probe(lineAddr); hit {
+			installed, _, _ := s.fill(lineAddr, false)
 			installed.Dirty = vEntry.Dirty || isStore
-			if h.Dead != nil {
-				h.Dead.OnFill(installed, pc)
+			if s.Dead != nil {
+				s.Dead.OnFill(installed, pc)
 			}
-			ev.L1Hit = true // the lower levels never see this access
-			h.observe(now, ev)
-			return now + uint64(h.cfg.L1.LatencyCycles) + 1
+			return now + s.lat + 1, servedNear
 		}
 	}
 
-	ready, l2hit := h.l2Access(now+uint64(h.cfg.L1.LatencyCycles), lineAddr, false)
-	ev.L2Hit = l2hit
-	installed, _, _ := h.fillL1(lineAddr, false)
-	if h.Dead != nil {
-		h.Dead.OnFill(installed, pc)
+	ready, l2hit := h.l2Access(now+s.lat, lineAddr, false)
+	installed, _, _ := s.fill(lineAddr, false)
+	if s.Dead != nil {
+		s.Dead.OnFill(installed, pc)
 	}
 	if isStore {
 		installed.Dirty = true
 	}
-	h.observe(now, ev)
-	return ready
+	if l2hit {
+		return ready, servedL2
+	}
+	return ready, servedMem
 }
 
-// FrontendEnabled reports whether the I-side front end is modelled.
-func (h *Hierarchy) FrontendEnabled() bool { return h.L1I != nil }
+// tag marks an L1 line as installed by fill f, with RIB as given.
+func (f *inflight) tag(line *cache.Line, rib bool) {
+	line.PIB = true
+	line.RIB = rib
+	line.TriggerPC = f.triggerPC
+	line.SoftPF = f.software
+	line.PFSource = uint8(core.SourceByName(f.source))
+}
 
-// classifyEvictedI handles a line leaving the L1I: if it was an
-// instruction prefetch, classify it and train the shared pollution
-// filter — the I-side twin of classifyEvicted, carrying the backend's
-// source provenance into the feedback.
-func (h *Hierarchy) classifyEvictedI(line cache.Line) {
+// fill installs a line into the L1 and processes the eviction feedback.
+// The returned pointer addresses the installed line for metadata setup;
+// the evicted line's tag (when any) is returned for the taxonomy hooks.
+func (s *side) fill(lineAddr uint64, prefetchReq bool) (installed *cache.Line, evictedTag uint64, hadEvict bool) {
+	installed, evicted, hadEvict := s.L1.Insert(lineAddr)
+	if hadEvict {
+		s.evict(&evicted)
+		if s.Victim != nil {
+			// The victim cache captures the eviction; its own victim (if
+			// dirty) is what finally writes back.
+			if ve, vEvict := s.Victim.Insert(evicted.Tag, evicted.Dirty); vEvict && ve.Dirty {
+				s.h.writebackL2(ve.LineAddr)
+			}
+		} else if evicted.Dirty {
+			s.h.writebackL2(evicted.Tag)
+		}
+	}
+	if prefetchReq {
+		s.L1.Stats.PrefetchFills++
+	} else {
+		s.L1.Stats.DemandFills++
+	}
+	return installed, evicted.Tag, hadEvict
+}
+
+// evict handles a line leaving the L1: if it was a prefetch, classify
+// it and train the filter.
+func (s *side) evict(line *cache.Line) {
+	if s.Dead != nil {
+		s.Dead.OnEvict(*line)
+	}
 	if !line.PIB {
 		return
 	}
-	if line.RIB {
-		h.IPf.Good++
-	} else {
-		h.IPf.Bad++
+	s.classify(line.Tag, line.TriggerPC, line.RIB, line.PFSource)
+	if s.Tax != nil {
+		s.Tax.OnEvict(line.Tag)
 	}
+}
+
+// classify counts one prefetched line leaving the side — good when a
+// demand referenced it — traces the eviction and trains the filter.
+func (s *side) classify(lineAddr, triggerPC uint64, good bool, source uint8) {
+	if good {
+		s.Pf.Good++
+		s.m.pfGood.Inc()
+	} else {
+		s.Pf.Bad++
+		s.m.pfBad.Inc()
+	}
+	h := s.h
 	if h.Trace != nil {
 		h.Trace.Emit(trace.Event{Cycle: h.now, Kind: trace.KindPrefetchEvict,
-			LineAddr: line.Tag, PC: line.TriggerPC, Good: line.RIB})
+			LineAddr: lineAddr, PC: triggerPC, Good: good})
 	}
 	h.Filter.Train(core.Feedback{
-		LineAddr:   line.Tag,
-		TriggerPC:  line.TriggerPC,
-		Referenced: line.RIB,
-		Source:     core.Source(line.PFSource),
+		LineAddr:   lineAddr,
+		TriggerPC:  triggerPC,
+		Referenced: good,
+		Source:     core.Source(source),
 	})
 }
 
-// fillL1I installs an instruction block into the L1I and classifies the
-// eviction. I-lines are never dirty, so there is no writeback path.
-func (h *Hierarchy) fillL1I(block uint64, prefetchReq bool) *cache.Line {
-	installed, evicted, hadEvict := h.L1I.Insert(block)
-	if hadEvict {
-		h.classifyEvictedI(evicted)
+// SoftwarePrefetch routes a software prefetch instruction (identified in
+// the LSQ) through the pollution filter into the prefetch queue. It does
+// not consume an L1 port; the eventual fill does, via IssuePrefetches.
+func (h *Hierarchy) SoftwarePrefetch(now uint64, pc, addr uint64) {
+	if !h.cfg.Prefetch.EnableSoftware {
+		return
 	}
-	if prefetchReq {
-		h.L1I.Stats.PrefetchFills++
-	} else {
-		h.L1I.Stats.DemandFills++
-	}
-	return installed
+	h.D.submit(now, prefetch.Candidate{
+		LineAddr:  h.D.L1.LineAddr(addr),
+		TriggerPC: pc,
+		Software:  true,
+		Source:    "sw",
+	})
 }
 
-// FetchAccess runs one instruction fetch through the front end at cycle
-// now and returns the cycle the block is available. Same-block fetches
-// are absorbed by the fetch unit and complete immediately; only block
-// transitions touch the L1I. On a miss the front end stalls: the caller
-// must not dispatch past the returned cycle.
-func (h *Hierarchy) FetchAccess(now uint64, pc uint64) (done uint64) {
-	block, newBlock, redirect := h.fetch.Step(pc)
-	if !newBlock {
-		return now
-	}
-	h.now = now
-	h.FetchBlocks++
-	h.L1I.Stats.DemandAccesses++
-	ev := frontend.Event{Block: block, PC: pc, Redirect: redirect}
-
-	if line, hit := h.L1I.Lookup(block); hit {
-		h.L1I.Stats.DemandHits++
-		if line.PIB && !line.RIB {
-			line.RIB = true
-		}
-		h.observeI(now, ev)
-		return now
-	}
-	h.L1I.Stats.DemandMisses++
-	h.FetchMisses++
-	ev.Miss = true
-
-	// MSHR merge: a fetch miss on a block with an instruction prefetch
-	// already in flight waits for that fill; the prefetch covered part
-	// of the miss latency and is installed as a referenced prefetch.
-	if f, busy := h.inflightISet[block]; busy {
-		delete(h.inflightISet, block)
-		h.mergedI[block]++ // tickI will skip one matching heap entry
-		h.MergedI++
-		line := h.fillL1I(block, true)
-		line.PIB = true
-		line.RIB = true
-		line.TriggerPC = f.triggerPC
-		line.PFSource = uint8(core.SourceByName(f.source))
-		done = f.done
-		if min := now + uint64(h.cfg.Frontend.L1I.LatencyCycles); done < min {
-			done = min
-		}
-		h.observeI(now, ev)
-		return done
-	}
-
-	// The fetch miss walks the shared L2 as a demand access — it is on
-	// the critical path of the front end.
-	ready, _ := h.l2Access(now+uint64(h.cfg.Frontend.L1I.LatencyCycles), block, false)
-	h.fillL1I(block, false)
-	h.observeI(now, ev)
-	return ready
+// resident reports whether the side already holds lineAddr (in the L1 or
+// the prefetch buffer).
+func (s *side) resident(lineAddr uint64) bool {
+	return s.L1.Contains(lineAddr) || (s.Buffer != nil && s.Buffer.Contains(lineAddr))
 }
 
-// observeI feeds a fetch-block event to the instruction prefetcher. The
-// candidate sink is the pre-built h.iEmitFn, stamping candidates with
-// h.now.
-func (h *Hierarchy) observeI(now uint64, ev frontend.Event) {
-	if h.IHW == nil {
-		return
+// redundant reports whether a prefetch for lineAddr would duplicate a
+// line the side holds or already has in flight.
+func (s *side) redundant(lineAddr uint64) bool {
+	if s.resident(lineAddr) {
+		return true
 	}
-	h.now = now
-	h.IHW.Observe(ev, h.iEmitFn)
+	_, busy := s.inflightSet[lineAddr]
+	return busy
 }
 
-// submitI runs one instruction-prefetch candidate through duplicate
-// squashing and the shared pollution filter, then enqueues it.
-func (h *Hierarchy) submitI(now uint64, c frontend.Candidate) {
-	if h.L1I.Contains(c.Block) {
-		h.IPf.Squashed++
+// squash records one duplicate-squashed prefetch.
+func (s *side) squash() {
+	s.Pf.Squashed++
+	s.m.pfSquashed.Inc()
+}
+
+// filtered records one candidate dropped before the queue (pollution
+// filter or dead-block gate).
+func (s *side) filtered(now uint64, c prefetch.Candidate) {
+	s.Pf.Filtered++
+	s.m.pfFiltered.Inc()
+	if h := s.h; h.Trace != nil {
+		h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchFilter,
+			LineAddr: c.LineAddr, PC: c.TriggerPC, Source: c.Source})
+	}
+}
+
+// submit runs one candidate through duplicate squashing, the pollution
+// filter and the dead-block gate, then enqueues it.
+func (s *side) submit(now uint64, c prefetch.Candidate) {
+	// Squash duplicates: already resident, already in flight, or already
+	// queued. No penalty (paper §5.1).
+	if s.redundant(c.LineAddr) || s.Queue.Contains(c.LineAddr) {
+		s.squash()
 		return
 	}
-	if _, busy := h.inflightISet[c.Block]; busy {
-		h.IPf.Squashed++
+	if !s.h.Filter.Allow(core.Request{LineAddr: c.LineAddr, TriggerPC: c.TriggerPC, Software: c.Software, Source: core.SourceByName(c.Source)}) {
+		s.filtered(now, c)
 		return
 	}
-	if h.IQueue.Contains(c.Block) {
-		h.IPf.Squashed++
+	if s.Dead != nil && !s.Dead.AllowPrefetch(s.L1, c.LineAddr) {
+		s.DeadGated++
+		s.filtered(now, c)
 		return
 	}
-	if !h.Filter.Allow(core.Request{LineAddr: c.Block, TriggerPC: c.TriggerPC, Source: core.SourceByName(c.Source)}) {
-		h.IPf.Filtered++
-		if h.Trace != nil {
-			h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchFilter,
-				LineAddr: c.Block, PC: c.TriggerPC, Source: c.Source})
-		}
-		return
+	if !s.Queue.Enqueue(c, now) {
+		s.Pf.Overflow++
+		s.m.pfOverflow.Inc()
 	}
-	if !h.IQueue.Enqueue(prefetch.Candidate{LineAddr: c.Block, TriggerPC: c.TriggerPC, Source: c.Source}, now) {
-		h.IPf.Overflow++
-	}
+}
+
+// IssuePrefetches lets up to ports queued data prefetches start their
+// fills at cycle now, returning how many L1 ports were consumed.
+// Prefetches found to be redundant at issue time are squashed without
+// consuming a port.
+func (h *Hierarchy) IssuePrefetches(now uint64, ports int) (used int) {
+	used = h.D.issue(now, ports)
+	h.Traffic.PrefetchAccesses += uint64(used)
+	return used
 }
 
 // IssueIPrefetches lets up to max queued instruction prefetches start
@@ -769,34 +765,37 @@ func (h *Hierarchy) submitI(now uint64, c frontend.Candidate) {
 // path, so I-side fills cannot starve D-side demand misses. The
 // contention tests pin this arbitration order.
 func (h *Hierarchy) IssueIPrefetches(now uint64, max int) (used int) {
-	if h.IQueue == nil {
+	if h.I == nil {
 		return 0
 	}
+	// Checking the port before each single issue is the same as checking
+	// it before every queue pop: squashes never move l2busyUntil.
+	for used < max && h.I.Queue.Len() > 0 && h.l2busyUntil <= now+h.I.lat {
+		used += h.I.issue(now, 1)
+	}
+	return used
+}
+
+// issue lets up to max queued prefetches start their fills at cycle now,
+// returning how many did. Each walks the lower hierarchy like a demand
+// miss, tagged as prefetch traffic.
+func (s *side) issue(now uint64, max int) (used int) {
+	h := s.h
 	h.now = now
-	lat := uint64(h.cfg.Frontend.L1I.LatencyCycles)
 	for used < max {
-		if h.l2busyUntil > now+lat {
-			return used // the L2 port is claimed; yield to the data path
-		}
-		qc, ok := h.IQueue.Front()
+		qc, ok := s.Queue.Dequeue()
 		if !ok {
 			return used
 		}
 		// Re-check residency: state may have changed while queued.
-		if h.L1I.Contains(qc.LineAddr) {
-			h.IQueue.Dequeue()
-			h.IPf.Squashed++
+		if s.redundant(qc.LineAddr) {
+			s.squash()
 			continue
 		}
-		if _, busy := h.inflightISet[qc.LineAddr]; busy {
-			h.IQueue.Dequeue()
-			h.IPf.Squashed++
-			continue
-		}
-		h.IQueue.Dequeue()
 		used++
-		ready, _ := h.l2Access(now+lat, qc.LineAddr, true)
-		h.IPf.Issued++
+		ready, _ := h.l2Access(now+s.lat, qc.LineAddr, true)
+		s.Pf.Issued++
+		s.m.pfIssued.Inc()
 		if h.Trace != nil {
 			h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchIssue,
 				LineAddr: qc.LineAddr, PC: qc.TriggerPC, Source: qc.Source})
@@ -806,37 +805,55 @@ func (h *Hierarchy) IssueIPrefetches(now uint64, max int) (used int) {
 			done:      ready,
 			lineAddr:  qc.LineAddr,
 			triggerPC: qc.TriggerPC,
-			iside:     true,
+			side:      s,
+			software:  qc.Software,
 			source:    qc.Source,
 		}
 		h.inflight.push(f)
-		h.inflightISet[qc.LineAddr] = f
+		s.inflightSet[qc.LineAddr] = f
 	}
 	return used
 }
 
-// tickI completes one instruction-prefetch fill popped off the shared
-// heap: consume a merge marker, drop late fills as bad, or install the
-// block into the L1I with its provenance metadata.
-func (h *Hierarchy) tickI(f inflight) {
-	if n := h.mergedI[f.lineAddr]; n > 0 {
-		// A fetch miss already claimed this fill (see Tick for the
-		// live-entry guard rationale).
-		if cur, live := h.inflightISet[f.lineAddr]; !live || cur != f {
+// Tick completes prefetch fills whose data has arrived by cycle now.
+func (h *Hierarchy) Tick(now uint64) {
+	for len(h.inflight) > 0 && h.inflight[0].done <= now {
+		f := h.inflight.pop()
+		f.side.complete(f)
+	}
+}
+
+// complete lands one fill popped off the shared heap. A fill a demand
+// miss already claimed is skipped. A fill whose line was demand-fetched
+// while the prefetch was in flight is late: it is dropped and classified
+// bad (the prefetch did not cover the demand access). Any other fill is
+// installed in the prefetch buffer, when there is one, or in the L1.
+func (s *side) complete(f inflight) {
+	if n := s.merged[f.lineAddr]; n > 0 {
+		// A demand miss already claimed this fill; the line was
+		// installed (as a referenced prefetch) at merge time. Guard
+		// against consuming the marker for a *live* in-flight entry
+		// that happens to complete on the same cycle: merge markers
+		// belong only to entries no longer tracked in inflightSet.
+		if cur, live := s.inflightSet[f.lineAddr]; !live || cur != f {
 			if n == 1 {
-				delete(h.mergedI, f.lineAddr)
+				delete(s.merged, f.lineAddr)
 			} else {
-				h.mergedI[f.lineAddr] = n - 1
+				s.merged[f.lineAddr] = n - 1
 			}
 			return
 		}
 	}
-	delete(h.inflightISet, f.lineAddr)
+	delete(s.inflightSet, f.lineAddr)
+	// Events from this fill are stamped at its arrival cycle, which is
+	// exact even during the end-of-run drain (Tick(^uint64(0))).
+	h := s.h
 	h.now = f.done
-	if h.L1I.Contains(f.lineAddr) {
-		// Late: the fetch stream already brought the block in.
+	if s.resident(f.lineAddr) {
 		h.LatePrefetches++
-		h.IPf.Bad++
+		s.Pf.Bad++
+		s.m.pfLate.Inc()
+		s.m.pfBad.Inc()
 		if h.Trace != nil {
 			h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchLate,
 				LineAddr: f.lineAddr, PC: f.triggerPC, Source: f.source})
@@ -849,226 +866,23 @@ func (h *Hierarchy) tickI(f inflight) {
 		})
 		return
 	}
-	line := h.fillL1I(f.lineAddr, true)
-	line.PIB = true
-	line.RIB = false
-	line.TriggerPC = f.triggerPC
-	line.PFSource = uint8(core.SourceByName(f.source))
-}
-
-// SoftwarePrefetch routes a software prefetch instruction (identified in
-// the LSQ) through the pollution filter into the prefetch queue. It does
-// not consume an L1 port; the eventual fill does, via IssuePrefetches.
-func (h *Hierarchy) SoftwarePrefetch(now uint64, pc, addr uint64) {
-	if !h.cfg.Prefetch.EnableSoftware {
-		return
-	}
-	h.submit(now, prefetch.Candidate{
-		LineAddr:  h.L1.LineAddr(addr),
-		TriggerPC: pc,
-		Software:  true,
-		Source:    "sw",
-	})
-}
-
-// observe feeds the demand access to the hardware prefetchers and submits
-// whatever they generate. The candidate sink is the pre-built h.emitFn,
-// stamping candidates with h.now (maintained by every entry point that
-// carries a cycle argument, including this one).
-func (h *Hierarchy) observe(now uint64, ev prefetch.Event) {
-	h.now = now
-	ev.Cycle = now
-	h.HW.Observe(ev, h.emitFn)
-}
-
-// squash records one duplicate-squashed prefetch.
-func (h *Hierarchy) squash() {
-	h.Pf.Squashed++
-	h.m.pfSquashed.Inc()
-}
-
-// filtered records one candidate dropped before the queue (pollution
-// filter or dead-block gate).
-func (h *Hierarchy) filtered(now uint64, c prefetch.Candidate) {
-	h.Pf.Filtered++
-	h.m.pfFiltered.Inc()
 	if h.Trace != nil {
-		h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchFilter,
-			LineAddr: c.LineAddr, PC: c.TriggerPC, Source: c.Source})
+		h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchFill,
+			LineAddr: f.lineAddr, PC: f.triggerPC, Source: f.source})
 	}
-}
-
-// submit runs one candidate through duplicate squashing and the pollution
-// filter, then enqueues it.
-func (h *Hierarchy) submit(now uint64, c prefetch.Candidate) {
-	// Squash duplicates: already resident, already in flight, or already
-	// queued. No penalty (paper §5.1).
-	if h.L1.Contains(c.LineAddr) {
-		h.squash()
+	s.m.pfFills.Inc()
+	if s.Buffer != nil {
+		evicted, hadEvict := s.Buffer.Insert(f.lineAddr, f.triggerPC, f.software, uint8(core.SourceByName(f.source)))
+		if hadEvict {
+			s.classify(evicted.LineAddr, evicted.TriggerPC, evicted.Referenced, evicted.Source)
+		}
 		return
 	}
-	if h.Buffer != nil && h.Buffer.Contains(c.LineAddr) {
-		h.squash()
-		return
+	line, evictedTag, hadEvict := s.fill(f.lineAddr, true)
+	if s.Tax != nil {
+		s.Tax.OnPrefetchFill(f.lineAddr, evictedTag, hadEvict)
 	}
-	if _, busy := h.inflightSet[c.LineAddr]; busy {
-		h.squash()
-		return
-	}
-	if h.Queue.Contains(c.LineAddr) {
-		h.squash()
-		return
-	}
-
-	if !h.Filter.Allow(core.Request{LineAddr: c.LineAddr, TriggerPC: c.TriggerPC, Software: c.Software, Source: core.SourceByName(c.Source)}) {
-		h.filtered(now, c)
-		return
-	}
-	if h.Dead != nil && !h.Dead.AllowPrefetch(h.L1, c.LineAddr) {
-		h.DeadGated++
-		h.filtered(now, c)
-		return
-	}
-	if !h.Queue.Enqueue(c, now) {
-		h.Pf.Overflow++
-		h.m.pfOverflow.Inc()
-	}
-}
-
-// IssuePrefetches lets up to ports queued prefetches start their fills at
-// cycle now, returning how many L1 ports were consumed. Prefetches found
-// to be redundant at issue time are squashed without consuming a port.
-func (h *Hierarchy) IssuePrefetches(now uint64, ports int) (used int) {
-	h.now = now
-	for used < ports {
-		qc, ok := h.Queue.Front()
-		if !ok {
-			return used
-		}
-		// Re-check residency: state may have changed while queued.
-		if h.L1.Contains(qc.LineAddr) ||
-			(h.Buffer != nil && h.Buffer.Contains(qc.LineAddr)) {
-			h.Queue.Dequeue()
-			h.squash()
-			continue
-		}
-		if _, busy := h.inflightSet[qc.LineAddr]; busy {
-			h.Queue.Dequeue()
-			h.squash()
-			continue
-		}
-		h.Queue.Dequeue()
-		used++
-
-		// The prefetch occupies an L1 port this cycle and then walks the
-		// lower hierarchy like a demand miss, tagged as prefetch traffic.
-		h.Traffic.PrefetchAccesses++
-		ready, _ := h.l2Access(now+uint64(h.cfg.L1.LatencyCycles), qc.LineAddr, true)
-		h.Pf.Issued++
-		h.m.pfIssued.Inc()
-		if h.Trace != nil {
-			h.Trace.Emit(trace.Event{Cycle: now, Kind: trace.KindPrefetchIssue,
-				LineAddr: qc.LineAddr, PC: qc.TriggerPC, Source: qc.Source})
-		}
-		h.BySource[qc.Source]++
-		f := inflight{
-			done:      ready,
-			lineAddr:  qc.LineAddr,
-			triggerPC: qc.TriggerPC,
-			software:  qc.Software,
-			source:    qc.Source,
-		}
-		h.inflight.push(f)
-		h.inflightSet[qc.LineAddr] = f
-	}
-	return used
-}
-
-// Tick completes prefetch fills whose data has arrived by cycle now. A
-// fill whose line was demand-fetched while the prefetch was in flight is
-// late: it is dropped and classified bad (the prefetch did not cover the
-// demand access).
-func (h *Hierarchy) Tick(now uint64) {
-	for len(h.inflight) > 0 && h.inflight[0].done <= now {
-		f := h.inflight.pop()
-		if f.iside {
-			h.tickI(f)
-			continue
-		}
-		if n := h.merged[f.lineAddr]; n > 0 {
-			// A demand miss already claimed this fill; the line was
-			// installed (as a referenced prefetch) at merge time. Guard
-			// against consuming the marker for a *live* in-flight entry
-			// that happens to complete on the same cycle: merge markers
-			// belong only to entries no longer tracked in inflightSet.
-			if cur, live := h.inflightSet[f.lineAddr]; !live || cur != f {
-				if n == 1 {
-					delete(h.merged, f.lineAddr)
-				} else {
-					h.merged[f.lineAddr] = n - 1
-				}
-				continue
-			}
-		}
-		delete(h.inflightSet, f.lineAddr)
-		// Events from this fill are stamped at its arrival cycle, which
-		// is exact even during the end-of-run drain (Tick(^uint64(0))).
-		h.now = f.done
-		if h.L1.Contains(f.lineAddr) || (h.Buffer != nil && h.Buffer.Contains(f.lineAddr)) {
-			h.LatePrefetches++
-			h.Pf.Bad++
-			h.m.pfLate.Inc()
-			h.m.pfBad.Inc()
-			if h.Trace != nil {
-				h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchLate,
-					LineAddr: f.lineAddr, PC: f.triggerPC, Source: f.source})
-			}
-			h.Filter.Train(core.Feedback{
-				LineAddr:   f.lineAddr,
-				TriggerPC:  f.triggerPC,
-				Referenced: false,
-				Source:     core.SourceByName(f.source),
-			})
-			continue
-		}
-		if h.Trace != nil {
-			h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchFill,
-				LineAddr: f.lineAddr, PC: f.triggerPC, Source: f.source})
-		}
-		h.m.pfFills.Inc()
-		if h.Buffer != nil {
-			evicted, hadEvict := h.Buffer.Insert(f.lineAddr, f.triggerPC, f.software, uint8(core.SourceByName(f.source)))
-			if hadEvict {
-				if evicted.Referenced {
-					h.Pf.Good++
-					h.m.pfGood.Inc()
-				} else {
-					h.Pf.Bad++
-					h.m.pfBad.Inc()
-				}
-				if h.Trace != nil {
-					h.Trace.Emit(trace.Event{Cycle: f.done, Kind: trace.KindPrefetchEvict,
-						LineAddr: evicted.LineAddr, PC: evicted.TriggerPC, Good: evicted.Referenced})
-				}
-				h.Filter.Train(core.Feedback{
-					LineAddr:   evicted.LineAddr,
-					TriggerPC:  evicted.TriggerPC,
-					Referenced: evicted.Referenced,
-					Source:     core.Source(evicted.Source),
-				})
-			}
-			continue
-		}
-		line, evicted, hadEvict := h.fillL1(f.lineAddr, true)
-		if h.Tax != nil {
-			h.Tax.OnPrefetchFill(f.lineAddr, evicted.Tag, hadEvict)
-		}
-		line.PIB = true
-		line.RIB = false
-		line.TriggerPC = f.triggerPC
-		line.SoftPF = f.software
-		line.PFSource = uint8(core.SourceByName(f.source))
-	}
+	f.tag(line, false)
 }
 
 // ResetStats zeroes every statistic accumulated so far while leaving all
@@ -1076,104 +890,84 @@ func (h *Hierarchy) Tick(now uint64) {
 // history table, queued and in-flight prefetches — warm. Used to exclude
 // cold-start effects from measurement after a warmup phase.
 func (h *Hierarchy) ResetStats() {
-	h.Pf = stats.Prefetches{}
+	h.D.resetStats()
+	if h.I != nil {
+		h.I.resetStats()
+	}
 	h.Traffic = stats.Traffic{}
 	h.BySource = make(map[string]uint64)
 	h.LatePrefetches = 0
-	h.Merged = 0
-	h.DeadGated = 0
-	h.IPf = stats.Prefetches{}
-	h.FetchBlocks, h.FetchMisses, h.MergedI = 0, 0, 0
-	if h.L1I != nil {
-		h.L1I.Stats = cache.Stats{}
-	}
-	if h.IQueue != nil {
-		h.IQueue.Enqueued, h.IQueue.Squashed, h.IQueue.Overflows, h.IQueue.Dequeued = 0, 0, 0, 0
-	}
-	h.m.reset()
-	if h.Dead != nil {
-		h.Dead.ResetStats()
-	}
-	h.L1.Stats = cache.Stats{}
+	h.FetchBlocks, h.FetchMisses = 0, 0
 	h.L2.Stats = cache.Stats{}
 	h.Bus.ResetStats()
 	h.Mem.Requests, h.Mem.PrefetchRequests, h.Mem.QueueStalls = 0, 0, 0
-	h.Queue.Enqueued, h.Queue.Squashed, h.Queue.Overflows, h.Queue.Dequeued = 0, 0, 0, 0
 	if r, ok := h.Filter.(interface{ ResetStats() }); ok {
 		r.ResetStats()
 	}
-	if h.Tax != nil {
-		h.Tax.ResetCounts()
+}
+
+// resetStats zeroes the side's statistics, keeping its state warm.
+func (s *side) resetStats() {
+	s.Pf = stats.Prefetches{}
+	s.Merged, s.DeadGated = 0, 0
+	s.L1.Stats = cache.Stats{}
+	s.Queue.ResetStats()
+	s.m.reset()
+	if s.Dead != nil {
+		s.Dead.ResetStats()
+	}
+	if s.Tax != nil {
+		s.Tax.ResetCounts()
 	}
 }
 
-// QueuedPrefetches returns the current prefetch queue depth.
-func (h *Hierarchy) QueuedPrefetches() int { return h.Queue.Len() }
+// QueuedPrefetches returns the current data prefetch queue depth.
+func (h *Hierarchy) QueuedPrefetches() int { return h.D.Queue.Len() }
 
-// InFlight returns the number of outstanding prefetch fills.
+// InFlight returns the number of outstanding prefetch fills on both sides.
 func (h *Hierarchy) InFlight() int { return len(h.inflight) }
 
-// Finish classifies state left at end of run: resident prefetched L1
-// lines (by RIB), resident buffer entries (by Referenced), and completes
-// all in-flight fills so counter conservation holds. Queued-but-unissued
-// prefetches are counted as overflow casualties.
+// Finish completes all in-flight fills, then classifies what each side
+// still holds so counter conservation holds.
 func (h *Hierarchy) Finish() {
-	// Complete whatever is still in flight.
 	h.Tick(^uint64(0))
-
-	for _, qc := range h.Queue.Drain() {
-		_ = qc
-		h.Pf.Overflow++
-		h.m.pfOverflow.Inc()
+	h.D.finish()
+	if h.I != nil {
+		h.I.finish()
 	}
+}
 
-	h.L1.ForEach(func(line *cache.Line) {
-		if !line.PIB {
-			return
-		}
-		if line.RIB {
-			h.Pf.Good++
-			h.Pf.ResidentGood++
-			h.m.pfGood.Inc()
-		} else {
-			h.Pf.Bad++
-			h.Pf.ResidentBad++
-			h.m.pfBad.Inc()
+// finish classifies state left at end of run: queued-but-unissued
+// prefetches are overflow casualties; resident prefetched L1 lines (by
+// RIB) and buffer entries (by Referenced) classify good or bad.
+func (s *side) finish() {
+	n := uint64(len(s.Queue.Drain()))
+	s.Pf.Overflow += n
+	s.m.pfOverflow.Add(n)
+	s.L1.ForEach(func(line *cache.Line) {
+		if line.PIB {
+			s.residentAtEnd(line.RIB)
 		}
 	})
-	if h.Buffer != nil {
-		for _, e := range h.Buffer.Drain() {
-			if e.Referenced {
-				h.Pf.Good++
-				h.Pf.ResidentGood++
-				h.m.pfGood.Inc()
-			} else {
-				h.Pf.Bad++
-				h.Pf.ResidentBad++
-				h.m.pfBad.Inc()
-			}
+	if s.Buffer != nil {
+		for _, e := range s.Buffer.Drain() {
+			s.residentAtEnd(e.Referenced)
 		}
 	}
-	if h.IQueue != nil {
-		for range h.IQueue.Drain() {
-			h.IPf.Overflow++
-		}
+	if s.Tax != nil {
+		s.Tax.Finish()
 	}
-	if h.L1I != nil {
-		h.L1I.ForEach(func(line *cache.Line) {
-			if !line.PIB {
-				return
-			}
-			if line.RIB {
-				h.IPf.Good++
-				h.IPf.ResidentGood++
-			} else {
-				h.IPf.Bad++
-				h.IPf.ResidentBad++
-			}
-		})
-	}
-	if h.Tax != nil {
-		h.Tax.Finish()
+}
+
+// residentAtEnd classifies one prefetch still resident at end of run.
+func (s *side) residentAtEnd(good bool) {
+	if good {
+		s.Pf.Good++
+		s.Pf.ResidentGood++
+		s.m.pfGood.Inc()
+	} else {
+		s.Pf.Bad++
+		s.Pf.ResidentBad++
+		s.m.pfBad.Inc()
 	}
 }

@@ -3,8 +3,10 @@ package hier
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -48,8 +50,8 @@ func TestDemandHitLatency(t *testing.T) {
 	if done != 500+uint64(h.Config().L1.LatencyCycles) {
 		t.Fatalf("hit latency = %d", done-500)
 	}
-	if h.L1.Stats.DemandHits != 1 || h.L1.Stats.DemandMisses != 1 {
-		t.Fatalf("stats = %+v", h.L1.Stats)
+	if h.D.L1.Stats.DemandHits != 1 || h.D.L1.Stats.DemandMisses != 1 {
+		t.Fatalf("stats = %+v", h.D.L1.Stats)
 	}
 }
 
@@ -84,14 +86,14 @@ func TestDemandMissL2Hit(t *testing.T) {
 func TestStoreSetsDirtyAndWritesBack(t *testing.T) {
 	h := newHier(t, testConfig(), nil)
 	h.DemandAccess(0, 0x400000, 0x1000, true)
-	line, ok := h.L1.Peek(h.LineAddr(0x1000))
+	line, ok := h.D.L1.Peek(h.LineAddr(0x1000))
 	if !ok || !line.Dirty {
 		t.Fatal("store should dirty the line")
 	}
 	// Conflict eviction triggers a writeback into the L2.
 	h.DemandAccess(1000, 0x400000, 0x1000+8192, false)
-	if h.L1.Stats.Writebacks != 1 {
-		t.Fatalf("writebacks = %d", h.L1.Stats.Writebacks)
+	if h.D.L1.Stats.Writebacks != 1 {
+		t.Fatalf("writebacks = %d", h.D.L1.Stats.Writebacks)
 	}
 	l2line, ok := h.L2.Peek(h.LineAddr(0x1000))
 	if !ok || !l2line.Dirty {
@@ -102,8 +104,8 @@ func TestStoreSetsDirtyAndWritesBack(t *testing.T) {
 func TestSoftwarePrefetchFlow(t *testing.T) {
 	h := newHier(t, testConfig(), nil)
 	h.SoftwarePrefetch(0, 0x400000, 0x2000)
-	if h.Queue.Len() != 1 {
-		t.Fatalf("queue len = %d", h.Queue.Len())
+	if h.D.Queue.Len() != 1 {
+		t.Fatalf("queue len = %d", h.D.Queue.Len())
 	}
 	// Issue it and let it complete.
 	used := h.IssuePrefetches(1, 3)
@@ -117,12 +119,12 @@ func TestSoftwarePrefetchFlow(t *testing.T) {
 	if h.InFlight() != 0 {
 		t.Fatal("fill should have completed")
 	}
-	line, ok := h.L1.Peek(h.LineAddr(0x2000))
+	line, ok := h.D.L1.Peek(h.LineAddr(0x2000))
 	if !ok || !line.PIB || line.RIB || line.TriggerPC != 0x400000 || !line.SoftPF {
 		t.Fatalf("prefetched line metadata: %+v", line)
 	}
-	if h.Pf.Issued != 1 {
-		t.Fatalf("issued = %d", h.Pf.Issued)
+	if h.D.Pf.Issued != 1 {
+		t.Fatalf("issued = %d", h.D.Pf.Issued)
 	}
 }
 
@@ -131,7 +133,7 @@ func TestSoftwarePrefetchDisabled(t *testing.T) {
 	cfg.Prefetch.EnableSoftware = false
 	h := newHier(t, cfg, nil)
 	h.SoftwarePrefetch(0, 0x400000, 0x2000)
-	if h.Queue.Len() != 0 {
+	if h.D.Queue.Len() != 0 {
 		t.Fatal("disabled software prefetch must be ignored")
 	}
 }
@@ -143,11 +145,11 @@ func TestFilterRejectTerminatesPrefetch(t *testing.T) {
 	// Train the line bad.
 	f.Train(core.Feedback{LineAddr: la, Referenced: false})
 	h.SoftwarePrefetch(0, 0x400000, 0x2000)
-	if h.Queue.Len() != 0 {
+	if h.D.Queue.Len() != 0 {
 		t.Fatal("rejected prefetch must not enter the queue")
 	}
-	if h.Pf.Filtered != 1 {
-		t.Fatalf("filtered = %d", h.Pf.Filtered)
+	if h.D.Pf.Filtered != 1 {
+		t.Fatalf("filtered = %d", h.D.Pf.Filtered)
 	}
 }
 
@@ -158,14 +160,14 @@ func TestGoodPrefetchClassification(t *testing.T) {
 	h.Tick(10_000)
 	// Demand-reference the prefetched line: RIB set.
 	h.DemandAccess(10_001, 0x400100, 0x2000, false)
-	line, _ := h.L1.Peek(h.LineAddr(0x2000))
+	line, _ := h.D.L1.Peek(h.LineAddr(0x2000))
 	if !line.RIB {
 		t.Fatal("demand reference must set RIB")
 	}
 	// Evict it via the conflicting set: classifies good.
 	h.DemandAccess(20_000, 0x400200, 0x2000+8192, false)
-	if h.Pf.Good != 1 || h.Pf.Bad != 0 {
-		t.Fatalf("classification = %+v", h.Pf)
+	if h.D.Pf.Good != 1 || h.D.Pf.Bad != 0 {
+		t.Fatalf("classification = %+v", h.D.Pf)
 	}
 	// The filter was trained with Referenced=true.
 	if h.Filter.Stats().TrainGood != 1 {
@@ -180,8 +182,8 @@ func TestBadPrefetchClassification(t *testing.T) {
 	h.Tick(10_000)
 	// Evict without ever referencing: bad.
 	h.DemandAccess(20_000, 0x400200, 0x2000+8192, false)
-	if h.Pf.Bad != 1 || h.Pf.Good != 0 {
-		t.Fatalf("classification = %+v", h.Pf)
+	if h.D.Pf.Bad != 1 || h.D.Pf.Good != 0 {
+		t.Fatalf("classification = %+v", h.D.Pf)
 	}
 	if h.Filter.Stats().TrainBad != 1 {
 		t.Fatalf("filter stats = %+v", h.Filter.Stats())
@@ -194,20 +196,20 @@ func TestMSHRMergeClassifiesGood(t *testing.T) {
 	h.IssuePrefetches(1, 3)
 	// Demand the line while the prefetch is still in flight.
 	done := h.DemandAccess(2, 0x400100, 0x2000, false)
-	if h.Merged != 1 {
-		t.Fatalf("merged = %d", h.Merged)
+	if h.D.Merged != 1 {
+		t.Fatalf("merged = %d", h.D.Merged)
 	}
 	if done < 10 {
 		t.Fatalf("merged demand should wait for the fill, done=%d", done)
 	}
-	line, ok := h.L1.Peek(h.LineAddr(0x2000))
+	line, ok := h.D.L1.Peek(h.LineAddr(0x2000))
 	if !ok || !line.PIB || !line.RIB {
 		t.Fatalf("merged line should be a referenced prefetch: %+v", line)
 	}
 	// Completing the original fill must not double-install or classify.
 	h.Tick(100_000)
-	if h.LatePrefetches != 0 || h.Pf.Bad != 0 {
-		t.Fatalf("merge misclassified: late=%d pf=%+v", h.LatePrefetches, h.Pf)
+	if h.LatePrefetches != 0 || h.D.Pf.Bad != 0 {
+		t.Fatalf("merge misclassified: late=%d pf=%+v", h.LatePrefetches, h.D.Pf)
 	}
 }
 
@@ -229,11 +231,11 @@ func TestLatePrefetchClassifiedBad(t *testing.T) {
 	h.IssuePrefetches(11, 3)
 	// Force-install the line as if a demand raced without the MSHR
 	// noticing (e.g. filled by an overlapping writeback path).
-	delete(h.inflightSet, h.LineAddr(0x3000))
-	h.fillL1(h.LineAddr(0x3000), false)
+	delete(h.D.inflightSet, h.LineAddr(0x3000))
+	h.D.fill(h.LineAddr(0x3000), false)
 	h.Tick(100_000)
-	if h.LatePrefetches != 1 || h.Pf.Bad != 1 {
-		t.Fatalf("late = %d, pf = %+v", h.LatePrefetches, h.Pf)
+	if h.LatePrefetches != 1 || h.D.Pf.Bad != 1 {
+		t.Fatalf("late = %d, pf = %+v", h.LatePrefetches, h.D.Pf)
 	}
 }
 
@@ -241,8 +243,8 @@ func TestDuplicateSquashResident(t *testing.T) {
 	h := newHier(t, testConfig(), nil)
 	h.DemandAccess(0, 0x400000, 0x2000, false) // line now L1-resident
 	h.SoftwarePrefetch(10, 0x400000, 0x2000)
-	if h.Queue.Len() != 0 || h.Pf.Squashed != 1 {
-		t.Fatalf("resident duplicate not squashed: queue=%d squashed=%d", h.Queue.Len(), h.Pf.Squashed)
+	if h.D.Queue.Len() != 0 || h.D.Pf.Squashed != 1 {
+		t.Fatalf("resident duplicate not squashed: queue=%d squashed=%d", h.D.Queue.Len(), h.D.Pf.Squashed)
 	}
 }
 
@@ -250,8 +252,8 @@ func TestDuplicateSquashQueued(t *testing.T) {
 	h := newHier(t, testConfig(), nil)
 	h.SoftwarePrefetch(0, 0x400000, 0x2000)
 	h.SoftwarePrefetch(1, 0x400004, 0x2000)
-	if h.Queue.Len() != 1 || h.Pf.Squashed != 1 {
-		t.Fatalf("queued duplicate not squashed: queue=%d squashed=%d", h.Queue.Len(), h.Pf.Squashed)
+	if h.D.Queue.Len() != 1 || h.D.Pf.Squashed != 1 {
+		t.Fatalf("queued duplicate not squashed: queue=%d squashed=%d", h.D.Queue.Len(), h.D.Pf.Squashed)
 	}
 }
 
@@ -260,8 +262,8 @@ func TestDuplicateSquashInFlight(t *testing.T) {
 	h.SoftwarePrefetch(0, 0x400000, 0x2000)
 	h.IssuePrefetches(1, 3)
 	h.SoftwarePrefetch(2, 0x400004, 0x2000)
-	if h.Queue.Len() != 0 || h.Pf.Squashed != 1 {
-		t.Fatalf("in-flight duplicate not squashed: queue=%d squashed=%d", h.Queue.Len(), h.Pf.Squashed)
+	if h.D.Queue.Len() != 0 || h.D.Pf.Squashed != 1 {
+		t.Fatalf("in-flight duplicate not squashed: queue=%d squashed=%d", h.D.Queue.Len(), h.D.Pf.Squashed)
 	}
 }
 
@@ -273,8 +275,8 @@ func TestIssueRespectsPortBudget(t *testing.T) {
 	if used := h.IssuePrefetches(1, 2); used != 2 {
 		t.Fatalf("used = %d, want 2", used)
 	}
-	if h.Queue.Len() != 8 {
-		t.Fatalf("queue len = %d", h.Queue.Len())
+	if h.D.Queue.Len() != 8 {
+		t.Fatalf("queue len = %d", h.D.Queue.Len())
 	}
 	if used := h.IssuePrefetches(2, 0); used != 0 {
 		t.Fatal("zero ports must issue nothing")
@@ -290,11 +292,11 @@ func TestFinishClassifiesResidents(t *testing.T) {
 	h.Tick(100_000)
 	h.DemandAccess(100_001, 0x400100, 0x2000, false) // reference the first
 	h.Finish()
-	if h.Pf.Good != 1 || h.Pf.Bad != 1 {
-		t.Fatalf("finish classification: %+v", h.Pf)
+	if h.D.Pf.Good != 1 || h.D.Pf.Bad != 1 {
+		t.Fatalf("finish classification: %+v", h.D.Pf)
 	}
-	if h.Pf.ResidentGood != 1 || h.Pf.ResidentBad != 1 {
-		t.Fatalf("resident accounting: %+v", h.Pf)
+	if h.D.Pf.ResidentGood != 1 || h.D.Pf.ResidentBad != 1 {
+		t.Fatalf("resident accounting: %+v", h.D.Pf)
 	}
 }
 
@@ -310,9 +312,9 @@ func TestConservationGoodPlusBadEqualsIssued(t *testing.T) {
 		h.IssuePrefetches(cycle, 2)
 	}
 	h.Finish()
-	if got := h.Pf.Good + h.Pf.Bad; got != h.Pf.Issued {
+	if got := h.D.Pf.Good + h.D.Pf.Bad; got != h.D.Pf.Issued {
 		t.Fatalf("classified %d != issued %d (good=%d bad=%d late=%d merged=%d)",
-			got, h.Pf.Issued, h.Pf.Good, h.Pf.Bad, h.LatePrefetches, h.Merged)
+			got, h.D.Pf.Issued, h.D.Pf.Good, h.D.Pf.Bad, h.LatePrefetches, h.D.Merged)
 	}
 }
 
@@ -320,16 +322,16 @@ func TestBufferModePromotion(t *testing.T) {
 	cfg := testConfig()
 	cfg.Buffer.Enable = true
 	h := newHier(t, cfg, nil)
-	if h.Buffer == nil {
+	if h.D.Buffer == nil {
 		t.Fatal("buffer should be built")
 	}
 	h.SoftwarePrefetch(0, 0x400000, 0x2000)
 	h.IssuePrefetches(1, 3)
 	h.Tick(100_000)
-	if h.L1.Contains(h.LineAddr(0x2000)) {
+	if h.D.L1.Contains(h.LineAddr(0x2000)) {
 		t.Fatal("buffer mode must not fill the L1 with prefetches")
 	}
-	if !h.Buffer.Contains(h.LineAddr(0x2000)) {
+	if !h.D.Buffer.Contains(h.LineAddr(0x2000)) {
 		t.Fatal("prefetch should land in the buffer")
 	}
 	// Demand hit in the buffer promotes into L1 and classifies good.
@@ -337,11 +339,11 @@ func TestBufferModePromotion(t *testing.T) {
 	if done != 100_001+uint64(cfg.L1.LatencyCycles) {
 		t.Fatalf("buffer hit latency = %d", done-100_001)
 	}
-	if !h.L1.Contains(h.LineAddr(0x2000)) {
+	if !h.D.L1.Contains(h.LineAddr(0x2000)) {
 		t.Fatal("promotion should install in the L1")
 	}
-	if h.Pf.Good != 1 {
-		t.Fatalf("promotion should classify good: %+v", h.Pf)
+	if h.D.Pf.Good != 1 {
+		t.Fatalf("promotion should classify good: %+v", h.D.Pf)
 	}
 }
 
@@ -358,29 +360,80 @@ func TestBufferConservation(t *testing.T) {
 		h.IssuePrefetches(cycle, 2)
 	}
 	h.Finish()
-	if got := h.Pf.Good + h.Pf.Bad; got != h.Pf.Issued {
-		t.Fatalf("buffer mode classified %d != issued %d", got, h.Pf.Issued)
+	if got := h.D.Pf.Good + h.D.Pf.Bad; got != h.D.Pf.Issued {
+		t.Fatalf("buffer mode classified %d != issued %d", got, h.D.Pf.Issued)
 	}
 }
 
+// TestResetStats checks the warmup boundary on both sides: every
+// statistic goes to zero while the caches stay warm.
 func TestResetStats(t *testing.T) {
-	h := newHier(t, config.Default(), nil)
-	rng := xrand.New(44)
-	for i := uint64(0); i < 5000; i++ {
-		h.Tick(i * 2)
-		h.DemandAccess(i*2, 0x400000, rng.Uint64n(1<<20), false)
-		h.IssuePrefetches(i*2, 2)
-	}
-	resident := h.L1.ValidLines()
-	h.ResetStats()
-	if h.Pf != (Hierarchy{}).Pf || h.Traffic.DemandAccesses != 0 {
-		t.Fatalf("stats not reset: %+v", h.Pf)
-	}
-	if h.L1.Stats.DemandAccesses != 0 || h.L2.Stats.DemandAccesses != 0 {
-		t.Fatal("cache stats not reset")
-	}
-	if h.L1.ValidLines() != resident {
-		t.Fatal("reset must not flush the cache")
+	withFrontend := config.Default()
+	fe := config.DefaultFrontend()
+	fe.IPrefetch = config.IPrefetchNextLine
+	withFrontend.Frontend = &fe
+	for _, cfg := range []config.Config{config.Default(), withFrontend} {
+		h := newHier(t, cfg, nil)
+		rng := xrand.New(44)
+		cycle := uint64(0)
+		for i := 0; i < 5000; i++ {
+			h.Tick(cycle)
+			h.DemandAccess(cycle, 0x400000, rng.Uint64n(1<<20), false)
+			h.IssuePrefetches(cycle, 2)
+			cycle += 2
+		}
+		// Then a jumpy fetch stream, so the I-side has prefetched, merged
+		// and missed before the reset.
+		pc := uint64(0x40_0000)
+		for i := 0; h.FrontendEnabled() && i < 5000; i++ {
+			cycle += 2
+			h.Tick(cycle)
+			if done := h.FetchAccess(cycle, pc); done > cycle {
+				cycle = done
+			}
+			h.IssueIPrefetches(cycle, 1)
+			if rng.Bool(0.1) {
+				pc = 0x40_0000 + rng.Uint64n(64)*1024
+			} else {
+				pc += 4
+			}
+		}
+		resident := h.D.L1.ValidLines()
+		var iResident int
+		if i := h.I; i != nil {
+			if i.Pf.Issued == 0 || i.Merged == 0 || h.FetchMisses == 0 || i.Queue.Enqueued == 0 {
+				t.Fatalf("fetch stream too tame to test the reset: pf=%+v merged=%d misses=%d",
+					i.Pf, i.Merged, h.FetchMisses)
+			}
+			iResident = i.L1.ValidLines()
+		}
+		h.ResetStats()
+		if h.D.Pf != (stats.Prefetches{}) || h.Traffic.DemandAccesses != 0 {
+			t.Fatalf("stats not reset: %+v", h.D.Pf)
+		}
+		if h.D.L1.Stats.DemandAccesses != 0 || h.L2.Stats.DemandAccesses != 0 {
+			t.Fatal("cache stats not reset")
+		}
+		if h.D.L1.ValidLines() != resident {
+			t.Fatal("reset must not flush the cache")
+		}
+		if !h.FrontendEnabled() {
+			continue
+		}
+		i := h.I
+		if i.L1.ValidLines() != iResident {
+			t.Fatal("reset must not flush the L1I")
+		}
+		if i.Pf != (stats.Prefetches{}) || h.FetchBlocks != 0 || h.FetchMisses != 0 || i.Merged != 0 {
+			t.Fatalf("I-side stats not reset: pf=%+v blocks=%d misses=%d merged=%d",
+				i.Pf, h.FetchBlocks, h.FetchMisses, i.Merged)
+		}
+		if q := i.Queue; q.Enqueued != 0 || q.Squashed != 0 || q.Overflows != 0 || q.Dequeued != 0 {
+			t.Fatalf("I-queue counters not reset: %+v", q)
+		}
+		if i.L1.Stats != (cache.Stats{}) {
+			t.Fatalf("L1I stats not reset: %+v", i.L1.Stats)
+		}
 	}
 }
 
@@ -392,10 +445,10 @@ func TestNSPChainThroughHierarchy(t *testing.T) {
 	// A miss on line 0x1000 should generate an NSP candidate for the next
 	// line and queue it.
 	h.DemandAccess(0, 0x400000, 0x1000, false)
-	if h.Queue.Len() != 1 {
-		t.Fatalf("NSP did not queue: len=%d", h.Queue.Len())
+	if h.D.Queue.Len() != 1 {
+		t.Fatalf("NSP did not queue: len=%d", h.D.Queue.Len())
 	}
-	c, _ := h.Queue.Front()
+	c, _ := h.D.Queue.Front()
 	if c.LineAddr != h.LineAddr(0x1000)+1 || c.Source != "nsp" {
 		t.Fatalf("candidate = %+v", c)
 	}
@@ -420,8 +473,8 @@ func TestQueueOverflowCounted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.SoftwarePrefetch(0, uint64(0x400000+i*4), uint64(0x2000+i*64))
 	}
-	if h.Pf.Overflow != 3 {
-		t.Fatalf("overflow = %d, want 3", h.Pf.Overflow)
+	if h.D.Pf.Overflow != 3 {
+		t.Fatalf("overflow = %d, want 3", h.D.Pf.Overflow)
 	}
 }
 
@@ -430,10 +483,10 @@ func TestFinishCountsUnissuedQueueAsOverflow(t *testing.T) {
 	h.SoftwarePrefetch(0, 0x400000, 0x2000)
 	h.SoftwarePrefetch(0, 0x400004, 0x3000)
 	h.Finish() // never issued
-	if h.Pf.Overflow != 2 {
-		t.Fatalf("unissued prefetches should count as overflow: %+v", h.Pf)
+	if h.D.Pf.Overflow != 2 {
+		t.Fatalf("unissued prefetches should count as overflow: %+v", h.D.Pf)
 	}
-	if h.Pf.Classified() != 0 {
+	if h.D.Pf.Classified() != 0 {
 		t.Fatal("unissued prefetches must not classify")
 	}
 }
@@ -442,19 +495,19 @@ func TestDeadBlockWiring(t *testing.T) {
 	cfg := testConfig()
 	cfg.Filter.Kind = config.FilterDeadBlock
 	h := newHier(t, cfg, nil)
-	if h.Dead == nil {
+	if h.D.Dead == nil {
 		t.Fatal("dead-block predictor should be built")
 	}
 	// Fill the target set with a live (freshly accessed) line; a prefetch
 	// into the conflicting line must be gated.
 	h.DemandAccess(0, 0x400000, 0x2000, false)
 	h.SoftwarePrefetch(10, 0x400004, 0x2000+8192)
-	if h.DeadGated != 1 || h.Queue.Len() != 0 {
-		t.Fatalf("gate: DeadGated=%d queue=%d", h.DeadGated, h.Queue.Len())
+	if h.D.DeadGated != 1 || h.D.Queue.Len() != 0 {
+		t.Fatalf("gate: DeadGated=%d queue=%d", h.D.DeadGated, h.D.Queue.Len())
 	}
 	// A prefetch into an empty set passes.
 	h.SoftwarePrefetch(11, 0x400008, 0x2000+64)
-	if h.Queue.Len() != 1 {
+	if h.D.Queue.Len() != 1 {
 		t.Fatal("free-frame prefetch should pass the gate")
 	}
 }
@@ -472,7 +525,7 @@ func TestL2HitPrefetchFasterThanMemory(t *testing.T) {
 	if h.Traffic.MemAccesses != before {
 		t.Fatal("L2-resident prefetch must not touch memory")
 	}
-	if !h.L1.Contains(h.LineAddr(0x2000)) {
+	if !h.D.L1.Contains(h.LineAddr(0x2000)) {
 		t.Fatal("prefetch should have filled the L1")
 	}
 }
@@ -481,14 +534,14 @@ func TestVictimCacheRescue(t *testing.T) {
 	cfg := testConfig()
 	cfg.VictimEntries = 4
 	h := newHier(t, cfg, nil)
-	if h.Victim == nil {
+	if h.D.Victim == nil {
 		t.Fatal("victim cache should be built")
 	}
 	// Fill a line, evict it via a conflict, then re-demand it: the victim
 	// cache must rescue it without an L2 access.
 	h.DemandAccess(0, 0x400000, 0x2000, true) // dirty
 	h.DemandAccess(1000, 0x400004, 0x2000+8192, false)
-	if !h.Victim.Contains(h.LineAddr(0x2000)) {
+	if !h.D.Victim.Contains(h.LineAddr(0x2000)) {
 		t.Fatal("eviction should land in the victim cache")
 	}
 	l2Before := h.L2.Stats.DemandAccesses
@@ -499,7 +552,7 @@ func TestVictimCacheRescue(t *testing.T) {
 	if h.L2.Stats.DemandAccesses != l2Before {
 		t.Fatal("victim hit must not touch the L2")
 	}
-	line, ok := h.L1.Peek(h.LineAddr(0x2000))
+	line, ok := h.D.L1.Peek(h.LineAddr(0x2000))
 	if !ok || !line.Dirty {
 		t.Fatal("rescued line must return dirty")
 	}
@@ -530,7 +583,7 @@ func TestVictimClassificationUnchanged(t *testing.T) {
 	h.IssuePrefetches(1, 3)
 	h.Tick(10_000)
 	h.DemandAccess(20_000, 0x400200, 0x2000+8192, false) // evict unreferenced
-	if h.Pf.Bad != 1 {
-		t.Fatalf("classification must happen at L1 eviction: %+v", h.Pf)
+	if h.D.Pf.Bad != 1 {
+		t.Fatalf("classification must happen at L1 eviction: %+v", h.D.Pf)
 	}
 }

@@ -124,6 +124,12 @@ func (q *Queue) Dequeue() (QueuedCandidate, bool) {
 	return c, true
 }
 
+// ResetStats zeroes the queue's counters (warmup boundary); queued
+// candidates stay.
+func (q *Queue) ResetStats() {
+	q.Enqueued, q.Squashed, q.Overflows, q.Dequeued = 0, 0, 0, 0
+}
+
 // Drain empties the queue, returning the remaining candidates in order.
 func (q *Queue) Drain() []QueuedCandidate {
 	out := make([]QueuedCandidate, 0, q.count)

@@ -14,14 +14,28 @@ import (
 // an instrumented run, the registry's live sim.pf.* counters equal the
 // stats.Run aggregates exactly — same classification, same filter
 // activity, across the warmup reset. An instrumented run must also
-// return bit-identical results to an un-instrumented one.
+// return bit-identical results to an un-instrumented one. With the front
+// end on, sim.pf.* still counts the data side only: the instruction
+// side's prefetches land in Run.Frontend, never in the registry.
 func TestMetricsMatchRunAggregates(t *testing.T) {
-	for _, filter := range []config.FilterKind{config.FilterNone, config.FilterPA} {
+	frontendCfg := config.Default().WithFilter(config.FilterPA)
+	fe := config.DefaultFrontend()
+	fe.IPrefetch = config.IPrefetchNextLine
+	frontendCfg.Frontend = &fe
+	for _, tc := range []struct {
+		filter string
+		cfg    config.Config
+	}{
+		{"none", config.Default().WithFilter(config.FilterNone)},
+		{"pa", config.Default().WithFilter(config.FilterPA)},
+		{"pa+frontend", frontendCfg},
+	} {
+		filter := tc.filter
 		reg := metrics.New()
 		tr := trace.New(1 << 16).WithInterval(10_000)
 		opts := Options{
 			Benchmark:       "gzip",
-			Config:          config.Default().WithFilter(filter),
+			Config:          tc.cfg,
 			MaxInstructions: 50_000,
 			Warmup:          10_000,
 		}
@@ -38,6 +52,9 @@ func TestMetricsMatchRunAggregates(t *testing.T) {
 		if run.Cycles != plain.Cycles || run.Prefetches != plain.Prefetches {
 			t.Fatalf("%s: instrumentation changed the simulation: %+v vs %+v",
 				filter, run.Prefetches, plain.Prefetches)
+		}
+		if tc.cfg.Frontend != nil && (run.Frontend == nil || run.Frontend.Prefetches.Issued == 0) {
+			t.Fatalf("%s: the instruction side issued no prefetches", filter)
 		}
 
 		s := reg.Snapshot()

@@ -67,6 +67,19 @@ const DefaultInstructions = 1_000_000
 // start of each run, long enough to populate the L2 and history table.
 const DefaultWarmup = 1_000_000
 
+// EffectiveWarmup resolves an Options.Warmup value to the number of
+// instructions Run simulates before measurement starts: negative
+// disables warmup, zero selects DefaultWarmup.
+func EffectiveWarmup(warmup int64) int64 {
+	switch {
+	case warmup < 0:
+		return 0
+	case warmup == 0:
+		return DefaultWarmup
+	}
+	return warmup
+}
+
 // Run executes one simulation and returns its measurements.
 func Run(opts Options) (stats.Run, error) {
 	cfg := opts.Config
@@ -122,7 +135,7 @@ func Run(opts Options) (stats.Run, error) {
 		if err != nil {
 			return stats.Run{}, err
 		}
-		h.Tax = tr
+		h.D.Tax = tr
 	}
 	c, err := cpu.New(cfg.CPU, h)
 	if err != nil {
@@ -133,15 +146,7 @@ func Run(opts Options) (stats.Run, error) {
 		c.AttachMetrics(opts.Metrics)
 	}
 
-	warmup := opts.Warmup
-	switch {
-	case warmup < 0:
-		warmup = 0
-	case warmup == 0:
-		warmup = DefaultWarmup
-	}
-
-	res := c.Run(src, maxInstr, warmup)
+	res := c.Run(src, maxInstr, EffectiveWarmup(opts.Warmup))
 	h.Finish()
 
 	// Sources the simulator built itself (trace-backed workloads hold an
@@ -158,7 +163,7 @@ func Run(opts Options) (stats.Run, error) {
 
 	fs := filter.Stats()
 	filterName := filter.Name()
-	if h.Dead != nil {
+	if h.D.Dead != nil {
 		filterName = "deadblock"
 	}
 	run := stats.Run{
@@ -166,11 +171,11 @@ func Run(opts Options) (stats.Run, error) {
 		Filter:       filterName,
 		Instructions: res.Instructions,
 		Cycles:       res.Cycles,
-		Prefetches:   h.Pf,
+		Prefetches:   h.D.Pf,
 		Traffic:      h.Traffic,
 
-		L1DemandAccesses: h.L1.Stats.DemandAccesses,
-		L1DemandMisses:   h.L1.Stats.DemandMisses,
+		L1DemandAccesses: h.D.L1.Stats.DemandAccesses,
+		L1DemandMisses:   h.D.L1.Stats.DemandMisses,
 		L2DemandAccesses: h.L2.Stats.DemandAccesses,
 		L2DemandMisses:   h.L2.Stats.DemandMisses,
 
@@ -185,8 +190,8 @@ func Run(opts Options) (stats.Run, error) {
 
 		BySource: h.BySource,
 	}
-	if h.Tax != nil {
-		counts := h.Tax.Counts
+	if h.D.Tax != nil {
+		counts := h.D.Tax.Counts
 		run.Taxonomy = &counts
 	}
 	if h.FrontendEnabled() {
@@ -195,11 +200,11 @@ func Run(opts Options) (stats.Run, error) {
 			FetchBlocks:      h.FetchBlocks,
 			FetchMisses:      h.FetchMisses,
 			FetchStallCycles: res.FetchStallCycles,
-			Prefetches:       h.IPf,
+			Prefetches:       h.I.Pf,
 		}
 	}
 	if reg := opts.Metrics; reg != nil {
-		h.L1.DumpMetrics(reg, "sim.l1")
+		h.D.L1.DumpMetrics(reg, "sim.l1")
 		h.L2.DumpMetrics(reg, "sim.l2")
 		if d, ok := filter.(core.MetricsDumper); ok {
 			d.DumpMetrics(reg, "sim.filter")

@@ -350,3 +350,13 @@ func TestCalibrationBands(t *testing.T) {
 		}
 	}
 }
+
+// TestEffectiveWarmup pins the warmup resolution Run and the bench-JSON
+// throughput share: negative disables, zero selects the default.
+func TestEffectiveWarmup(t *testing.T) {
+	for in, want := range map[int64]int64{-1: 0, -500: 0, 0: DefaultWarmup, 1: 1, 20_000: 20_000} {
+		if got := EffectiveWarmup(in); got != want {
+			t.Errorf("EffectiveWarmup(%d) = %d, want %d", in, got, want)
+		}
+	}
+}
