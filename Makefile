@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke trace-smoke fabric-smoke iprefetch-smoke perfbench-test
+.PHONY: build test race lint fuzz-smoke bench-smoke trace-smoke fabric-smoke axis-smoke perfbench-test
 
 build:
 	$(GO) build ./...
@@ -51,14 +51,24 @@ trace-smoke:
 fabric-smoke:
 	./scripts/fabric_smoke.sh
 
-# I-side (iprefetcher x filter) matrix smoke (docs/FRONTEND.md): every
-# registered instruction prefetcher crossed with none/pa on one
-# benchmark, then the pinned per-backend fingerprints.
-iprefetch-smoke:
-	$(GO) run ./cmd/pfexperiments -iprefetch all -filters none,pa -bench mcf \
+# Comparison-matrix smoke for one sweep axis (experiments.Axis): every
+# registered backend of AXIS on one benchmark — the filter zoo head to
+# head, the generator and instruction-prefetcher zoos crossed with
+# none/pa — then that axis's pinned fingerprints.
+#   make axis-smoke AXIS=filters|generators|iprefetch
+AXIS ?= filters
+axis_flags_filters    = -filters all
+axis_flags_generators = -generators all -filters none,pa
+axis_flags_iprefetch  = -iprefetch all -filters none,pa
+axis_pinned_filters    = TestSeedFingerprintPinned|TestFilterComparisonFingerprintPinned
+axis_pinned_generators = TestGeneratorFingerprintPinned|TestGeneratorAliasRunsIdentical
+axis_pinned_iprefetch  = TestIPrefetchFingerprintPinned|TestIPrefetchAliasRunsIdentical
+
+axis-smoke:
+	@test -n "$(axis_flags_$(AXIS))" || { echo "AXIS must be filters, generators or iprefetch" >&2; exit 1; }
+	$(GO) run ./cmd/pfexperiments $(axis_flags_$(AXIS)) -bench mcf \
 		-n 100000 -warmup 20000
-	$(GO) test -run 'TestIPrefetchFingerprintPinned|TestIPrefetchAliasRunsIdentical' \
-		./internal/experiments/
+	$(GO) test -run '$(axis_pinned_$(AXIS))' ./internal/experiments/
 
 # Reduced bench matrix; see docs/PERFORMANCE.md for the full policy.
 bench-smoke:

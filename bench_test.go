@@ -336,7 +336,7 @@ func init() {
 // both edges. Pairs with BenchmarkFilterPredict: generator cost on one
 // side of the pipeline, filter cost on the other.
 func BenchmarkGeneratorObserve(b *testing.B) {
-	for _, kind := range prefetch.Sweepable() {
+	for _, kind := range prefetch.Kinds() {
 		b.Run(kind, func(b *testing.B) {
 			l2, err := cache.New(config.Default().L2, xrand.New(1))
 			if err != nil {

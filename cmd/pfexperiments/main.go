@@ -31,7 +31,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/report"
 	"repro/internal/tracefile"
 )
 
@@ -123,104 +122,6 @@ func main() {
 		return
 	}
 
-	if *iprefs != "" {
-		iprefKinds := []string(nil) // "all" selects every registered backend
-		if *iprefs != "all" {
-			iprefKinds = strings.Split(*iprefs, ",")
-		}
-		filterKinds := []string(nil) // empty selects every sweepable backend
-		if *filters != "" && *filters != "all" {
-			filterKinds = strings.Split(*filters, ",")
-		}
-		rows, err := params.IFilterComparison(ctx, iprefKinds, filterKinds, jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: iprefetch: %v\n", err)
-			os.Exit(1)
-		}
-		table := report.IPrefetchComparison("Instruction-prefetcher zoo crossed with filters (front end enabled)", rows)
-		var werr error
-		switch {
-		case *csv:
-			werr = table.WriteCSV(os.Stdout)
-		case *md:
-			werr = table.WriteMarkdown(os.Stdout)
-		default:
-			werr = table.WriteText(os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "pfexperiments:", werr)
-			os.Exit(1)
-		}
-		if *met {
-			printTelemetry(&params)
-		}
-		return
-	}
-
-	if *gens != "" {
-		genKinds := []string(nil) // "all" selects every registered generator
-		if *gens != "all" {
-			genKinds = strings.Split(*gens, ",")
-		}
-		filterKinds := []string(nil) // empty selects every sweepable backend
-		if *filters != "" && *filters != "all" {
-			filterKinds = strings.Split(*filters, ",")
-		}
-		rows, err := params.GeneratorComparison(ctx, genKinds, filterKinds, jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: generators: %v\n", err)
-			os.Exit(1)
-		}
-		table := report.GeneratorComparison("Generator zoo crossed with filters (default machine)", rows)
-		var werr error
-		switch {
-		case *csv:
-			werr = table.WriteCSV(os.Stdout)
-		case *md:
-			werr = table.WriteMarkdown(os.Stdout)
-		default:
-			werr = table.WriteText(os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "pfexperiments:", werr)
-			os.Exit(1)
-		}
-		if *met {
-			printTelemetry(&params)
-		}
-		return
-	}
-
-	if *filters != "" {
-		kinds := []string(nil) // "all" selects every sweepable backend
-		if *filters != "all" {
-			kinds = strings.Split(*filters, ",")
-		}
-		rows, err := params.FilterComparison(ctx, kinds, jobs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pfexperiments: filters: %v\n", err)
-			os.Exit(1)
-		}
-		table := report.FilterComparison("Filter backends head to head (default machine)", rows)
-		var werr error
-		switch {
-		case *csv:
-			werr = table.WriteCSV(os.Stdout)
-		case *md:
-			werr = table.WriteMarkdown(os.Stdout)
-		default:
-			werr = table.WriteText(os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "pfexperiments:", werr)
-			os.Exit(1)
-		}
-		if *met {
-			printTelemetry(&params)
-		}
-		return
-	}
-
 	render := func(table *experiments.Table) {
 		var werr error
 		switch {
@@ -236,6 +137,38 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	// kinds splits a backend-list flag; "" and "all" select the whole
+	// registry.
+	kinds := func(flagValue string) []string {
+		if flagValue == "" || flagValue == "all" {
+			return nil
+		}
+		return strings.Split(flagValue, ",")
+	}
+
+	// Comparison mode: the most specific axis flag set picks the zoo;
+	// -filters names the filter dimension it is crossed with.
+	axisFlags := map[*experiments.Axis]string{
+		experiments.Filters: *filters, experiments.Generators: *gens, experiments.IPrefetch: *iprefs,
+	}
+	var axis *experiments.Axis
+	for _, ax := range experiments.Axes {
+		if axisFlags[ax] != "" {
+			axis = ax
+		}
+	}
+	if axis != nil {
+		c, err := params.Compare(ctx, axis, kinds(axisFlags[axis]), kinds(*filters), jobs)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pfexperiments: %s: %v\n", axis.Name, err)
+			os.Exit(1)
+		}
+		render(c.Table(axis.Title))
+		if *met {
+			printTelemetry(&params)
+		}
+		return
+	}
 
 	if *traces != "" && *exp == "" && !*all {
 		// Corpus mode: the manifest summary, then the (trace × filter)
@@ -247,12 +180,17 @@ func main() {
 		}
 		render(experiments.TraceCorpusTable(m))
 		fmt.Println()
-		rows, err := params.TraceComparison(ctx, corpus, nil, jobs)
+		q, err := params.OnTraces(corpus)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pfexperiments: traces: %v\n", err)
 			os.Exit(1)
 		}
-		render(report.FilterComparison("Trace corpus crossed with filters (default machine)", rows))
+		c, err := q.Compare(ctx, experiments.Filters, nil, nil, jobs)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "pfexperiments: traces: %v\n", err)
+			os.Exit(1)
+		}
+		render(c.Table(experiments.TraceTitle))
 		if *met {
 			printTelemetry(&params)
 		}

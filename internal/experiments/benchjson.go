@@ -109,88 +109,59 @@ var benchFilters = []config.FilterKind{
 	config.FilterPerceptron, config.FilterBloom, config.FilterTournament,
 }
 
-// BenchJSON runs the reduced (benchmark x generator x filter) matrix
+// BenchJSON runs the reduced (benchmark x backend x filter) matrix
 // through the work-stealing scheduler with `jobs` workers, timing every
-// simulation, and returns the report. Every cell is a single-generator
-// machine (config.WithGenerator) so the baseline tracks the wall-clock
-// cost of each generator backend under each filter. The context cancels
-// queued simulations.
+// simulation, and returns the report. The backends are those of the
+// machine axes, Generators and IPrefetch, each running alone so the
+// baseline tracks the wall-clock cost of every backend under each
+// filter. The context cancels queued simulations.
 func (p *Params) BenchJSON(ctx context.Context, jobs int) (*BenchReport, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	generators := prefetch.Sweepable()
-	iprefetchers := frontend.Sweepable()
-	type unit struct {
-		name   string
-		bench  string
-		gen    config.PrefetchKind
-		ipref  config.IPrefetchKind
-		filter config.FilterKind
+	machines := make([]config.Config, len(benchFilters))
+	for i, f := range benchFilters {
+		machines[i] = config.Default().WithFilter(f)
 	}
-	var units []unit
-	for _, b := range p.benchmarks() {
-		for _, g := range generators {
-			for _, f := range benchFilters {
-				units = append(units, unit{
-					name:   b + "/" + g + "/" + string(f),
-					bench:  b,
-					gen:    config.PrefetchKind(g),
-					filter: f,
-				})
-			}
+	var units []MatrixItem
+	for _, ax := range []*Axis{Generators, IPrefetch} {
+		items, err := ax.Matrix(p.benchmarks(), machines, nil)
+		if err != nil {
+			return nil, err
 		}
-		// The I-side matrix: front end enabled, each instruction
-		// prefetcher alone, so the baseline tracks the wall-clock cost
-		// of the fetch model and each I-side backend under each filter.
-		for _, ip := range iprefetchers {
-			for _, f := range benchFilters {
-				units = append(units, unit{
-					name:   b + "/i:" + ip + "/" + string(f),
-					bench:  b,
-					ipref:  config.IPrefetchKind(ip),
-					filter: f,
-				})
-			}
-		}
+		units = append(units, items...)
 	}
 
 	cost := p.costModel()
 	sjobs := make([]sched.Job, 0, len(units))
 	for _, u := range units {
-		u := u
+		name := u.Name()
 		sjobs = append(sjobs, sched.Job{
-			Key:  u.name,
-			Cost: cost(u.bench),
+			Key:  name,
+			Cost: cost(u.Bench),
 			Run: func(ctx context.Context) (any, error) {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				cfg := config.Default()
-				if u.ipref != "" {
-					cfg = cfg.WithIPrefetch(u.ipref)
-				} else {
-					cfg = cfg.WithGenerator(u.gen)
-				}
-				cfg = cfg.WithFilter(u.filter)
+				cfg := u.Config
 				cfg.Seed = p.Seed
 				start := time.Now()
 				r, err := sim.Run(sim.Options{
-					Benchmark:       u.bench,
+					Benchmark:       u.Bench,
 					Config:          cfg,
 					MaxInstructions: p.Instructions,
 					Warmup:          p.Warmup,
 				})
 				if err != nil {
-					return nil, fmt.Errorf("bench %s: %w", u.name, err)
+					return nil, fmt.Errorf("bench %s: %w", name, err)
 				}
 				wall := time.Since(start)
 				e := BenchEntry{
-					Name:         u.name,
-					Benchmark:    u.bench,
-					Generator:    string(u.gen),
-					IPrefetcher:  string(u.ipref),
-					Filter:       string(u.filter),
+					Name:         name,
+					Benchmark:    u.Bench,
+					Generator:    u.Generator,
+					IPrefetcher:  u.IPrefetcher,
+					Filter:       string(cfg.Filter.Kind),
 					WallNS:       wall.Nanoseconds(),
 					Instructions: r.Instructions,
 					Cycles:       r.Cycles,
@@ -218,21 +189,21 @@ func (p *Params) BenchJSON(ctx context.Context, jobs int) (*BenchReport, error) 
 		WarmupPerRun:       p.Warmup,
 		Seed:               p.Seed,
 		Benchmarks:         p.benchmarks(),
-		Generators:         generators,
-		IPrefetchers:       iprefetchers,
+		Generators:         prefetch.Kinds(),
+		IPrefetchers:       frontend.Kinds(),
 		TotalWallNS:        total.Nanoseconds(),
 	}
 	for _, f := range benchFilters {
 		report.Filters = append(report.Filters, string(f))
 	}
-	for _, u := range units {
-		r := results[u.name]
+	for _, j := range sjobs {
+		r := results[j.Key]
 		if r.Err != nil {
 			return nil, r.Err
 		}
 		e, ok := r.Value.(BenchEntry)
 		if !ok {
-			return nil, fmt.Errorf("bench %s: unexpected result type %T", u.name, r.Value)
+			return nil, fmt.Errorf("bench %s: unexpected result type %T", j.Key, r.Value)
 		}
 		report.SerialWallNS += e.WallNS
 		report.Entries = append(report.Entries, e)

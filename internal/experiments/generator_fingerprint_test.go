@@ -30,11 +30,11 @@ var generatorFingerprintSHA256 = map[string]string{
 func generatorHash(t *testing.T, gen string, workers int) string {
 	t.Helper()
 	p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-	rows, err := p.GeneratorComparison(context.Background(), []string{gen}, []string{string(config.FilterPA)}, workers)
+	c, err := p.Compare(context.Background(), Generators, []string{gen}, []string{string(config.FilterPA)}, workers)
 	if err != nil {
-		t.Fatalf("GeneratorComparison(%s, workers=%d): %v", gen, workers, err)
+		t.Fatalf("Compare(%s, workers=%d): %v", gen, workers, err)
 	}
-	blob, err := json.Marshal(rows)
+	blob, err := json.Marshal(c.Generators)
 	if err != nil {
 		t.Fatalf("marshal rows: %v", err)
 	}

@@ -37,11 +37,11 @@ func iprefetchHash(t *testing.T, ipref string, workers int) string {
 	t.Helper()
 	p := &Params{Instructions: 10_000, Warmup: 2_000, Seed: 1,
 		Benchmarks: iprefetchBenchmarks(t)}
-	rows, err := p.IFilterComparison(context.Background(), []string{ipref}, []string{string(config.FilterPA)}, workers)
+	c, err := p.Compare(context.Background(), IPrefetch, []string{ipref}, []string{string(config.FilterPA)}, workers)
 	if err != nil {
-		t.Fatalf("IFilterComparison(%s, workers=%d): %v", ipref, workers, err)
+		t.Fatalf("Compare(%s, workers=%d): %v", ipref, workers, err)
 	}
-	blob, err := json.Marshal(rows)
+	blob, err := json.Marshal(c.IPrefetch)
 	if err != nil {
 		t.Fatalf("marshal rows: %v", err)
 	}

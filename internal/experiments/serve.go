@@ -30,6 +30,19 @@ type MatrixItem struct {
 	IPrefetcher string
 }
 
+// Name labels the cell "<benchmark>/<filter>", or
+// "<benchmark>/<generator>/<filter>" and "<benchmark>/i:<iprefetcher>/<filter>"
+// on the generator and I-side axes.
+func (it MatrixItem) Name() string {
+	switch {
+	case it.IPrefetcher != "":
+		return it.Bench + "/i:" + it.IPrefetcher + "/" + string(it.Config.Filter.Kind)
+	case it.Generator != "":
+		return it.Bench + "/" + it.Generator + "/" + string(it.Config.Filter.Kind)
+	}
+	return it.Bench + "/" + string(it.Config.Filter.Kind)
+}
+
 // StandardMatrix returns the full evaluation matrix the paper-figure
 // experiments request — the same expansion Prewarm schedules. Narrow it
 // by setting Params.Benchmarks.

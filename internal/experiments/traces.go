@@ -26,23 +26,26 @@ func init() {
 				t.AddNote("no trace corpus registered; load one with pfexperiments -traces <manifest> (see docs/TRACES.md)")
 				return t, nil
 			}
-			rows, err := p.TraceComparison(context.Background(), nil, nil, 0)
+			q, err := p.OnTraces(nil)
 			if err != nil {
 				return nil, err
 			}
-			return report.FilterComparison("Trace corpus crossed with filters (default machine)", rows), nil
+			c, err := q.Compare(context.Background(), Filters, nil, nil, 0)
+			if err != nil {
+				return nil, err
+			}
+			return c.Table(TraceTitle), nil
 		},
 	})
 }
 
-// TraceComparison runs every (trace benchmark × filter backend) cell —
-// plus the unfiltered baseline each IPC delta needs — and returns the
-// comparison rows, exactly like FilterComparison but over a registered
-// trace corpus instead of the synthetic models. Empty traces selects
-// every registered trace; empty kinds selects every sweepable backend.
-// Trace names must be registered (tracefile.RegisterCorpus); unknown
-// names report the registered alternatives.
-func (p *Params) TraceComparison(ctx context.Context, traces, kinds []string, workers int) ([]report.FilterComparisonRow, error) {
+// OnTraces narrows p to registered trace-corpus benchmarks, so any
+// comparison runs over the corpus exactly as it runs over the synthetic
+// models. Empty traces selects every registered trace; unknown names
+// report the registered alternatives. Params is safely copyable (the
+// cache lock is package-level): the copy leaves the caller's benchmark
+// set alone and still shares the process-wide run memo.
+func (p *Params) OnTraces(traces []string) (*Params, error) {
 	if len(traces) == 0 {
 		traces = tracefile.Registered()
 	}
@@ -54,13 +57,13 @@ func (p *Params) TraceComparison(ctx context.Context, traces, kinds []string, wo
 			return nil, fmt.Errorf("experiments: unknown trace benchmark %q (registered traces: %v)", tr, tracefile.Registered())
 		}
 	}
-	// Params is safely copyable (the cache lock is package-level); the
-	// copy narrows the benchmark set to the corpus without touching the
-	// caller's. Results still share the process-wide run memo.
 	q := *p
 	q.Benchmarks = traces
-	return q.FilterComparison(ctx, kinds, workers)
+	return &q, nil
 }
+
+// TraceTitle heads the corpus × filter comparison table.
+const TraceTitle = "Trace corpus crossed with filters (default machine)"
 
 // TraceCorpusTable renders a registered manifest as a report table — the
 // corpus summary pfexperiments prints above the comparison.

@@ -101,10 +101,15 @@ func TestTraceComparisonDeterministicAcrossWorkers(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4, 8} {
 		p := Params{Instructions: 20_000, Warmup: 5_000, Seed: 1}
-		rows, err := p.TraceComparison(context.Background(), []string{bench}, []string{"pa"}, workers)
+		q, err := p.OnTraces([]string{bench})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		c, err := q.Compare(context.Background(), Filters, []string{"pa"}, nil, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		rows := c.Filters
 		if len(rows) == 0 {
 			t.Fatalf("workers=%d: no rows", workers)
 		}
@@ -133,7 +138,7 @@ func TestTraceComparisonDeterministicAcrossWorkers(t *testing.T) {
 func TestTraceComparisonUnknownTrace(t *testing.T) {
 	registerSampleCorpus(t)
 	p := Params{Instructions: 10_000, Warmup: 2_000, Seed: 1}
-	_, err := p.TraceComparison(context.Background(), []string{"trace:nope"}, []string{"pa"}, 1)
+	_, err := p.OnTraces([]string{"trace:nope"})
 	if err == nil {
 		t.Fatal("unknown trace accepted")
 	}

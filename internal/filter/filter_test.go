@@ -34,12 +34,12 @@ func TestRegistryKinds(t *testing.T) {
 		config.FilterAdaptive, config.FilterDeadBlock, config.FilterStatic,
 		config.FilterPerceptron, config.FilterBloom, config.FilterTournament,
 	} {
-		if !Registered(k) {
+		if !Backends.Registered(k) {
 			t.Errorf("kind %q not registered", k)
 		}
 	}
 	// Aliases resolve to their canonical kinds.
-	if !Registered(config.FilterTablePA) || !Registered(config.FilterTablePC) {
+	if !Backends.Registered(config.FilterTablePA) || !Backends.Registered(config.FilterTablePC) {
 		t.Error("table-pa/table-pc aliases should resolve to registered kinds")
 	}
 	kinds := Kinds()
@@ -55,6 +55,47 @@ func TestRegistryKinds(t *testing.T) {
 	}
 	if len(Sweepable()) != len(kinds)-1 {
 		t.Errorf("Sweepable() = %v, want Kinds() minus static (%v)", Sweepable(), kinds)
+	}
+}
+
+// TestNewTableFamily pins the paper baselines' construction path: each
+// table-family kind builds the internal/core filter it names, the static
+// filter refuses (it needs a profiling run), and an invalid table size
+// is rejected before any constructor runs.
+func TestNewTableFamily(t *testing.T) {
+	base := config.Default().Filter
+	cases := []struct {
+		kind config.FilterKind
+		name string
+	}{
+		{config.FilterNone, "none"},
+		{config.FilterPA, "pa"},
+		{config.FilterPC, "pc"},
+		{config.FilterAdaptive, "pa-adaptive"},
+	}
+	for _, tc := range cases {
+		cfg := base
+		cfg.Kind = tc.kind
+		f, err := New(cfg)
+		if err != nil {
+			t.Errorf("%s: %v", tc.kind, err)
+			continue
+		}
+		if f.Name() != tc.name {
+			t.Errorf("%s: name = %q, want %q", tc.kind, f.Name(), tc.name)
+		}
+	}
+	// Static needs the two-phase flow.
+	cfg := base
+	cfg.Kind = config.FilterStatic
+	if _, err := New(cfg); err == nil {
+		t.Error("static kind should error out of New")
+	}
+	// Invalid config is rejected.
+	cfg = base
+	cfg.TableEntries = 1000
+	if _, err := New(cfg); err == nil {
+		t.Error("invalid table entries should fail")
 	}
 }
 

@@ -71,7 +71,7 @@ func TestRegistry(t *testing.T) {
 	if len(kinds) != 2 || kinds[0] != "mana" || kinds[1] != "nextline" {
 		t.Fatalf("Kinds() = %v, want [mana nextline]", kinds)
 	}
-	if !Registered(config.IPrefetchFDIPAlias) {
+	if !Backends.Registered(config.IPrefetchFDIPAlias) {
 		t.Fatal("fetch-directed alias must resolve to the nextline constructor")
 	}
 	fe := config.DefaultFrontend()
@@ -85,8 +85,5 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := New("bogus", fe); err == nil {
 		t.Fatal("unknown kind must error")
-	}
-	if got := Sweepable(); len(got) != 2 {
-		t.Fatalf("Sweepable() = %v", got)
 	}
 }

@@ -1,6 +1,6 @@
 // The instruction-prefetcher registry: named, config-constructible
-// I-side backends, mirroring internal/prefetch's registry for the
-// D-side generator zoo. Backends are built from a validated
+// I-side backends, one internal/registry instance like the filter and
+// D-side generator zoos. Backends are built from a validated
 // config.FrontendConfig via New; the registry is open so tests and
 // downstream code can add experimental backends, and the
 // "fetch-directed" alias resolves to "nextline" so either spelling
@@ -8,83 +8,37 @@
 package frontend
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"repro/internal/config"
+	"repro/internal/registry"
 )
 
 // Constructor builds one instruction prefetcher from a front-end
 // configuration.
 type Constructor func(cfg config.FrontendConfig) (Prefetcher, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = map[config.IPrefetchKind]Constructor{}
-)
-
-// Register adds (or replaces) a backend constructor under kind. The
-// canonical form of the kind is registered, so aliases resolve to the
-// same constructor.
-func Register(kind config.IPrefetchKind, ctor Constructor) {
-	if ctor == nil {
-		panic("frontend: nil constructor")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[kind.Canonical()] = ctor
-}
-
-// Registered reports whether kind (or its canonical form) has a
-// registered constructor.
-func Registered(kind config.IPrefetchKind) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[kind.Canonical()]
-	return ok
-}
+// Backends is the instruction-prefetcher zoo's registry.
+var Backends = registry.New[config.IPrefetchKind, Constructor]("frontend", "instruction prefetcher")
 
 // Kinds returns every registered backend kind, sorted. Aliases
 // (fetch-directed) are not listed; they resolve to their canonical
 // kinds.
-func Kinds() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	//pflint:allow determinism/maprange key collection; the result is sorted below
-	for k := range registry {
-		out = append(out, string(k))
-	}
-	sort.Strings(out)
-	return out
-}
+func Kinds() []string { return Backends.Kinds() }
 
 // New builds the backend kind names from cfg. An unregistered kind
 // reports the registered alternatives.
 func New(kind config.IPrefetchKind, cfg config.FrontendConfig) (Prefetcher, error) {
-	regMu.RLock()
-	ctor, ok := registry[kind.Canonical()]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("frontend: no registered instruction prefetcher for kind %q (registered: %v)", kind, Kinds())
+	ctor, err := Backends.Lookup(kind)
+	if err != nil {
+		return nil, err
 	}
 	return ctor(cfg)
 }
 
-// Sweepable returns the registered kinds that can run end-to-end in
-// one pass — for instruction prefetchers that is all of them. This is
-// the backend list "-iprefetch all" and the serving layer's iprefetch
-// dimension expand to.
-func Sweepable() []string {
-	return Kinds()
-}
-
 func init() {
-	Register(config.IPrefetchNextLine, func(cfg config.FrontendConfig) (Prefetcher, error) {
+	Backends.Register(config.IPrefetchNextLine, func(cfg config.FrontendConfig) (Prefetcher, error) {
 		return NewNextLine(cfg.Degree, cfg.L1I.LineBytes)
 	})
-	Register(config.IPrefetchMANA, func(cfg config.FrontendConfig) (Prefetcher, error) {
+	Backends.Register(config.IPrefetchMANA, func(cfg config.FrontendConfig) (Prefetcher, error) {
 		return NewMANA(cfg.ManaRecordsLog2, cfg.ManaRegionLog2, cfg.Degree, cfg.L1I.LineBytes)
 	})
 }

@@ -137,7 +137,7 @@ var knownAnalyzers = map[string]bool{
 // testdata/src can stand in for real core packages.
 var coreNames = map[string]bool{
 	"sim": true, "cpu": true, "cache": true, "hier": true, "filter": true,
-	"prefetch": true, "predictor": true, "pbuffer": true, "bus": true,
+	"prefetch": true, "predictor": true, "registry": true, "pbuffer": true, "bus": true,
 	"memdram": true, "deadblock": true, "victim": true, "core": true,
 	"frontend": true,
 }

@@ -1,6 +1,6 @@
 // The generator registry: named, config-constructible prefetch
-// generators, mirroring internal/filter's registry pattern for the
-// pollution-filter zoo. Backends are built from a validated
+// generators, one internal/registry instance like the filter and
+// instruction-prefetcher zoos. Backends are built from a
 // config.PrefetchConfig via New; the registry is open so tests and
 // downstream code can add experimental generators, and aliases
 // ("correlation", "ghb-pc-delta") resolve to their canonical kinds so
@@ -8,12 +8,9 @@
 package prefetch
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
 	"repro/internal/cache"
 	"repro/internal/config"
+	"repro/internal/registry"
 )
 
 // Env carries the pieces of the machine a generator may need beyond its
@@ -27,84 +24,41 @@ type Env struct {
 // Constructor builds one generator from a prefetch configuration.
 type Constructor func(cfg config.PrefetchConfig, env Env) (Prefetcher, error)
 
-var (
-	regMu    sync.RWMutex
-	registry = map[config.PrefetchKind]Constructor{}
-)
-
-// Register adds (or replaces) a generator constructor under kind. The
-// canonical form of the kind is registered, so aliases resolve to the
-// same constructor.
-func Register(kind config.PrefetchKind, ctor Constructor) {
-	if ctor == nil {
-		panic("prefetch: nil constructor")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[kind.Canonical()] = ctor
-}
-
-// Registered reports whether kind (or its canonical form) has a
-// registered constructor.
-func Registered(kind config.PrefetchKind) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[kind.Canonical()]
-	return ok
-}
+// Generators is the generator zoo's registry.
+var Generators = registry.New[config.PrefetchKind, Constructor]("prefetch", "generator")
 
 // Kinds returns every registered generator kind, sorted. Aliases
 // (correlation, ghb-pc-delta) are not listed; they resolve to their
 // canonical kinds.
-func Kinds() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	//pflint:allow determinism/maprange key collection; the result is sorted below
-	for k := range registry {
-		out = append(out, string(k))
-	}
-	sort.Strings(out)
-	return out
-}
+func Kinds() []string { return Generators.Kinds() }
 
 // New builds the generator kind names from cfg. An unregistered kind
 // reports the registered alternatives.
 func New(kind config.PrefetchKind, cfg config.PrefetchConfig, env Env) (Prefetcher, error) {
-	regMu.RLock()
-	ctor, ok := registry[kind.Canonical()]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("prefetch: no registered generator for kind %q (registered: %v)", kind, Kinds())
+	ctor, err := Generators.Lookup(kind)
+	if err != nil {
+		return nil, err
 	}
 	return ctor(cfg, env)
 }
 
-// Sweepable returns the registered kinds that can run end-to-end in one
-// pass — for generators that is all of them. This is the backend list
-// "-generators all" and the serving layer's generators dimension expand
-// to.
-func Sweepable() []string {
-	return Kinds()
-}
-
 func init() {
-	Register(config.PrefetchNSP, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
+	Generators.Register(config.PrefetchNSP, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
 		return NewNSP(cfg.Degree)
 	})
-	Register(config.PrefetchSDP, func(_ config.PrefetchConfig, env Env) (Prefetcher, error) {
+	Generators.Register(config.PrefetchSDP, func(_ config.PrefetchConfig, env Env) (Prefetcher, error) {
 		return NewSDP(env.L2)
 	})
-	Register(config.PrefetchStride, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
+	Generators.Register(config.PrefetchStride, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
 		return NewStride(cfg.StrideEntries)
 	})
-	Register(config.PrefetchCorrelation, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
+	Generators.Register(config.PrefetchCorrelation, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
 		return NewCorrelation(cfg.CorrelationSets, cfg.CorrelationAssoc)
 	})
-	Register(config.PrefetchBerti, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
+	Generators.Register(config.PrefetchBerti, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
 		return NewBerti(cfg.BertiHistoryLog2, cfg.BertiLatencyLog2, cfg.BertiShadowLog2)
 	})
-	Register(config.PrefetchGHB, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
+	Generators.Register(config.PrefetchGHB, func(cfg config.PrefetchConfig, _ Env) (Prefetcher, error) {
 		return NewGHB(cfg.GHBLog2, cfg.GHBIndexLog2, cfg.GHBMaxDegree)
 	})
 }

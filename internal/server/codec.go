@@ -12,8 +12,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fabric"
 	"repro/internal/filter"
-	"repro/internal/frontend"
-	"repro/internal/prefetch"
 	"repro/internal/report"
 	"repro/internal/stats"
 	"repro/internal/tracefile"
@@ -272,7 +270,7 @@ func buildConfig(filterName string, cacheKB, tableEntries, l1Ports int, prefetch
 	if filterName == "" {
 		kind = config.FilterNone
 	}
-	if !filter.Registered(kind) {
+	if !filter.Backends.Registered(kind) {
 		return config.Config{}, fmt.Errorf("unknown filter %q (registered backends: %v)", filterName, filter.Kinds())
 	}
 	cfg = cfg.WithFilter(kind)
@@ -337,223 +335,32 @@ func expandSweep(req SweepRequest, p *experiments.Params) ([]experiments.MatrixI
 		// registry (the static filter needs a profiling run and is skipped).
 		filters = filter.Sweepable()
 	}
-	gens, err := expandGenerators(req.Generators)
-	if err != nil {
-		return nil, err
-	}
-	iprefs, err := expandIPrefetch(req.IPrefetch)
-	if err != nil {
-		return nil, err
-	}
-	if len(gens) > 0 && len(iprefs) > 0 {
+	if len(req.Generators) > 0 && len(req.IPrefetch) > 0 {
 		return nil, fmt.Errorf("the generators and iprefetch axes cannot be combined in one sweep (the front end replaces the D-side generator mix)")
 	}
-	items := make([]experiments.MatrixItem, 0, len(benches)*len(filters)*max(1, len(gens)+len(iprefs)))
+	machines := make([]config.Config, 0, len(filters))
 	for _, f := range filters {
 		cfg, err := buildConfig(f, req.CacheKB, 0, 0, false)
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case len(gens) > 0:
-			for _, g := range gens {
-				gcfg := cfg.WithGenerator(g)
-				for _, b := range benches {
-					items = append(items, experiments.MatrixItem{Bench: b, Config: gcfg, Generator: string(g)})
-				}
-			}
-		case len(iprefs) > 0:
-			for _, ip := range iprefs {
-				icfg := cfg.WithIPrefetch(ip)
-				for _, b := range benches {
-					items = append(items, experiments.MatrixItem{Bench: b, Config: icfg, IPrefetcher: string(ip)})
-				}
-			}
-		default:
-			for _, b := range benches {
-				items = append(items, experiments.MatrixItem{Bench: b, Config: cfg})
-			}
-		}
+		machines = append(machines, cfg)
 	}
-	return items, nil
+	ax, names := sweepAxis(req)
+	return ax.Matrix(benches, machines, names)
 }
 
-// expandIPrefetch resolves the iprefetch dimension: ["all"] becomes
-// every registered instruction-prefetcher kind, names resolve through
-// their aliases, and an unknown kind is a request error (HTTP 400).
-func expandIPrefetch(names []string) ([]config.IPrefetchKind, error) {
-	if len(names) == 1 && names[0] == "all" {
-		reg := frontend.Sweepable()
-		out := make([]config.IPrefetchKind, len(reg))
-		for i, ip := range reg {
-			out[i] = config.IPrefetchKind(ip)
-		}
-		return out, nil
+// sweepAxis picks the request's machine axis and its backend names: the
+// generator or I-side axis when the request names one (["all"] expands
+// to the whole registry), the plain filters comparison otherwise.
+func sweepAxis(req SweepRequest) (*experiments.Axis, []string) {
+	switch {
+	case len(req.Generators) > 0:
+		return experiments.Generators, req.Generators
+	case len(req.IPrefetch) > 0:
+		return experiments.IPrefetch, req.IPrefetch
 	}
-	out := make([]config.IPrefetchKind, 0, len(names))
-	seen := map[config.IPrefetchKind]bool{}
-	for _, ip := range names {
-		kind := config.IPrefetchKind(ip).Canonical()
-		if !frontend.Registered(kind) {
-			return nil, fmt.Errorf("unknown instruction prefetcher %q (registered backends: %v)", ip, frontend.Kinds())
-		}
-		if !seen[kind] {
-			seen[kind] = true
-			out = append(out, kind)
-		}
-	}
-	return out, nil
-}
-
-// expandGenerators resolves the generators dimension: ["all"] becomes
-// every registered generator kind, names resolve through their aliases,
-// and an unknown kind is a request error (HTTP 400).
-func expandGenerators(names []string) ([]config.PrefetchKind, error) {
-	if len(names) == 1 && names[0] == "all" {
-		reg := prefetch.Sweepable()
-		out := make([]config.PrefetchKind, len(reg))
-		for i, g := range reg {
-			out[i] = config.PrefetchKind(g)
-		}
-		return out, nil
-	}
-	out := make([]config.PrefetchKind, 0, len(names))
-	seen := map[config.PrefetchKind]bool{}
-	for _, g := range names {
-		kind := config.PrefetchKind(g).Canonical()
-		if !prefetch.Registered(kind) {
-			return nil, fmt.Errorf("unknown generator %q (registered generators: %v)", g, prefetch.Kinds())
-		}
-		if !seen[kind] {
-			seen[kind] = true
-			out = append(out, kind)
-		}
-	}
-	return out, nil
-}
-
-// buildComparison derives the head-to-head rows from the successful
-// sweep cells. IPC deltas are against the benchmark's "none" cell; a
-// benchmark without one reports zero deltas.
-func buildComparison(results []RunResult) []report.FilterComparisonRow {
-	baseIPC := make(map[string]float64)
-	for _, r := range results {
-		if r.Run != nil && config.FilterKind(r.Filter).Canonical() == config.FilterNone {
-			baseIPC[r.Benchmark] = r.IPC
-		}
-	}
-	var rows []report.FilterComparisonRow
-	for _, r := range results {
-		if r.Run == nil {
-			continue
-		}
-		cov := 0.0
-		if denom := r.Run.Prefetches.Good + r.Run.L1DemandMisses; denom > 0 {
-			cov = float64(r.Run.Prefetches.Good) / float64(denom)
-		}
-		delta := 0.0
-		if base, ok := baseIPC[r.Benchmark]; ok {
-			delta = r.IPC - base
-		}
-		rows = append(rows, report.FilterComparisonRow{
-			Benchmark: r.Benchmark,
-			Filter:    r.Filter,
-			Good:      r.Run.Prefetches.Good,
-			Bad:       r.Run.Prefetches.Bad,
-			Filtered:  r.Run.Prefetches.Filtered,
-			Accuracy:  r.Run.Prefetches.GoodFraction(),
-			Coverage:  cov,
-			IPC:       r.IPC,
-			IPCDelta:  delta,
-		})
-	}
-	report.SortFilterComparison(rows)
-	return rows
-}
-
-// buildGeneratorComparison derives the cross-product rows from a
-// generator sweep's successful cells. IPC deltas are against the same
-// (benchmark, generator) pair's "none" cell; pairs without one report
-// zero deltas.
-func buildGeneratorComparison(results []RunResult) []report.GeneratorComparisonRow {
-	baseIPC := make(map[string]float64)
-	for _, r := range results {
-		if r.Run != nil && config.FilterKind(r.Filter).Canonical() == config.FilterNone {
-			baseIPC[r.Benchmark+"|"+r.Generator] = r.IPC
-		}
-	}
-	var rows []report.GeneratorComparisonRow
-	for _, r := range results {
-		if r.Run == nil {
-			continue
-		}
-		cov := 0.0
-		if denom := r.Run.Prefetches.Good + r.Run.L1DemandMisses; denom > 0 {
-			cov = float64(r.Run.Prefetches.Good) / float64(denom)
-		}
-		delta := 0.0
-		if base, ok := baseIPC[r.Benchmark+"|"+r.Generator]; ok {
-			delta = r.IPC - base
-		}
-		rows = append(rows, report.GeneratorComparisonRow{
-			Generator: r.Generator,
-			FilterComparisonRow: report.FilterComparisonRow{
-				Benchmark: r.Benchmark,
-				Filter:    r.Filter,
-				Good:      r.Run.Prefetches.Good,
-				Bad:       r.Run.Prefetches.Bad,
-				Filtered:  r.Run.Prefetches.Filtered,
-				Accuracy:  r.Run.Prefetches.GoodFraction(),
-				Coverage:  cov,
-				IPC:       r.IPC,
-				IPCDelta:  delta,
-			},
-		})
-	}
-	report.SortGeneratorComparison(rows)
-	return rows
-}
-
-// buildIPrefetchComparison derives the I-side cross-product rows from
-// an iprefetch sweep's successful cells. IPC deltas are against the
-// same (benchmark, iprefetcher) pair's "none" cell; pairs without one
-// report zero deltas. The Frontend block is nil-guarded: a cell served
-// from a store written before the front end existed degrades to zero
-// I-side counts rather than failing the sweep.
-func buildIPrefetchComparison(results []RunResult) []report.IPrefetchComparisonRow {
-	baseIPC := make(map[string]float64)
-	for _, r := range results {
-		if r.Run != nil && config.FilterKind(r.Filter).Canonical() == config.FilterNone {
-			baseIPC[r.Benchmark+"|"+r.IPrefetcher] = r.IPC
-		}
-	}
-	var rows []report.IPrefetchComparisonRow
-	for _, r := range results {
-		if r.Run == nil {
-			continue
-		}
-		delta := 0.0
-		if base, ok := baseIPC[r.Benchmark+"|"+r.IPrefetcher]; ok {
-			delta = r.IPC - base
-		}
-		row := report.IPrefetchComparisonRow{
-			IPrefetcher: r.IPrefetcher,
-			Benchmark:   r.Benchmark,
-			Filter:      r.Filter,
-			IPC:         r.IPC,
-			IPCDelta:    delta,
-		}
-		if fe := r.Run.Frontend; fe != nil {
-			row.Good = fe.Prefetches.Good
-			row.Bad = fe.Prefetches.Bad
-			row.Filtered = fe.Prefetches.Filtered
-			row.FetchMissRate = fe.FetchMissRate()
-			row.Pollution = fe.Pollution()
-		}
-		rows = append(rows, row)
-	}
-	report.SortIPrefetchComparison(rows)
-	return rows
+	return experiments.Filters, nil
 }
 
 // resultForCell assembles one RunResult from a cell and its outcome,
@@ -571,15 +378,8 @@ func resultForCell(c sweepCell, o cellOutcome) RunResult {
 
 // resultFor assembles one RunResult from a matrix item and its run.
 func resultFor(item experiments.MatrixItem, r *stats.Run, wallNS int64, err error) RunResult {
-	name := item.Bench + "/" + string(item.Config.Filter.Kind)
-	if item.Generator != "" {
-		name = item.Bench + "/" + item.Generator + "/" + string(item.Config.Filter.Kind)
-	}
-	if item.IPrefetcher != "" {
-		name = item.Bench + "/i:" + item.IPrefetcher + "/" + string(item.Config.Filter.Kind)
-	}
 	out := RunResult{
-		Name:        name,
+		Name:        item.Name(),
 		Benchmark:   item.Bench,
 		Generator:   item.Generator,
 		IPrefetcher: item.IPrefetcher,

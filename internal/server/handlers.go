@@ -285,9 +285,11 @@ func buildSweepResponse(req SweepRequest, p *experiments.Params, cells []sweepCe
 	}
 	results := make([]RunResult, 0, len(cells))
 	runs := make(map[string]stats.Run, len(cells))
+	done := make([]experiments.Cell, 0, len(cells))
 	for _, c := range cells {
 		o := outcomes[c.key]
-		if o.err == nil && o.run != nil {
+		res := resultForCell(c, o)
+		if res.Run != nil {
 			runs[c.key] = *o.run
 		} else {
 			resp.Errors++
@@ -295,16 +297,13 @@ func buildSweepResponse(req SweepRequest, p *experiments.Params, cells []sweepCe
 		if o.source == "cas" {
 			resp.CASHits++
 		}
-		results = append(results, resultForCell(c, o))
+		results = append(results, res)
+		done = append(done, experiments.Cell{Item: c.item, Key: c.key, Run: res.Run})
 	}
 	resp.Fingerprint = fabric.Fingerprint(runs)
-	if len(req.Generators) > 0 {
-		resp.GeneratorComparison = buildGeneratorComparison(results)
-	} else if len(req.IPrefetch) > 0 {
-		resp.IPrefetchComparison = buildIPrefetchComparison(results)
-	} else {
-		resp.Comparison = buildComparison(results)
-	}
+	ax, _ := sweepAxis(req)
+	cmp := ax.Rows(p, done)
+	resp.Comparison, resp.GeneratorComparison, resp.IPrefetchComparison = cmp.Filters, cmp.Generators, cmp.IPrefetch
 	if includeResults {
 		resp.Results = results
 	}
